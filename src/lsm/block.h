@@ -30,9 +30,8 @@ enum class Lookup : uint8_t {
   kTombstone = 2,  // deleted here; the key is definitively absent
 };
 
-/// One merged-scan row: tombstones travel through range merges so they
-/// can shadow older live values, and are dropped only at the edge of
-/// the public API (or at compaction's bottom level).
+/// One copied scan row (MemTable::Snapshot, TableReader::ScanBlocks),
+/// tombstones included so they can still shadow older live values.
 struct ScanEntry {
   uint64_t key = 0;
   std::string value;

@@ -1,14 +1,13 @@
 #include "lsm/db.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <system_error>
 #include <unordered_set>
 
+#include "lsm/merging_iterator.h"
 #include "lsm/table_builder.h"
 
 namespace bloomrf {
@@ -530,7 +529,6 @@ bool Db::SealActive(bool force) {
 
 std::shared_ptr<const TableReader> Db::WriteSst(const MemTable& mem,
                                                 FileMeta* meta) {
-  auto entries = mem.Snapshot();
   TableBuilder builder(options_.filter_policy.get(), options_.block_size);
   FilterFeedback feedback;
   if (sampler_ != nullptr) {
@@ -541,10 +539,15 @@ std::shared_ptr<const TableReader> Db::WriteSst(const MemTable& mem,
     ctx.sampler = sampler_;
     ctx.feedback = &feedback;
     ctx.level = 0;
-    ctx.table_keys = entries.size();
+    ctx.table_keys = mem.size();
     builder.SetFilterContext(ctx);
   }
-  for (const ScanEntry& e : entries) builder.Add(e.key, e.value, e.tombstone);
+  // A sealed memtable takes no more writes, so its cursor streams a
+  // consistent image, tombstones included (they keep shadowing older
+  // tables).
+  for (MemTable::Iterator it(mem, 0); it.Valid(); it.Next()) {
+    builder.Add(it.key(), it.value(), it.tombstone());
+  }
   const uint64_t file_number =
       next_file_number_.fetch_add(1, std::memory_order_relaxed);
   const std::string path = SstPath(file_number);
@@ -702,17 +705,13 @@ size_t Db::EffectiveSubcompactions() const {
 void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
                     const FilterBuildContext* build_ctx, uint64_t lo,
                     uint64_t hi, SubcompactionResult* result) {
-  // k-way merge over the inputs restricted to [lo, hi]: the smallest
-  // pending key wins each step, ties resolved to the lowest input
-  // index (newest source — the job orders inputs newest first), and
-  // every iterator holding the winning key advances, which is what
-  // drops the shadowed duplicates. The ranges partition the key space,
-  // so every version of a key is merged by exactly one subcompaction
-  // and per-key semantics are identical to the serial merge.
-  std::vector<TableReader::Iterator> inputs;
-  inputs.reserve(job.inputs.size());
+  // The job orders its inputs newest first, so the merge resolves each
+  // key to its newest version. The ranges partition the key space, so
+  // every version of a key is merged by exactly one subcompaction and
+  // per-key semantics are identical to the serial merge.
+  MergingIterator merged(hi);
   for (const auto& table : job.inputs) {
-    inputs.emplace_back(*table, &stats_, lo);
+    merged.AddTable(*table, TableReader::ReadMode::kBypassCache, &stats_);
   }
 
   // Split outputs near half the level's base budget so deeper levels
@@ -755,23 +754,10 @@ void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
     return true;
   };
 
-  for (;;) {
-    size_t winner = inputs.size();
-    uint64_t min_key = 0;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (!inputs[i].ok()) {
-        result->error = "compact: input read error";
-        return;
-      }
-      if (!inputs[i].Valid()) continue;
-      if (winner == inputs.size() || inputs[i].key() < min_key) {
-        winner = i;
-        min_key = inputs[i].key();
-      }
-    }
-    if (winner == inputs.size() || min_key > hi) break;
-    const bool tombstone = inputs[winner].tombstone();
-    if (tombstone && !shadow.Covers(min_key)) {
+  for (merged.Seek(lo); merged.ok() && merged.Valid(); merged.Next()) {
+    const uint64_t key = merged.key();
+    const bool tombstone = merged.tombstone();
+    if (tombstone && !shadow.Covers(key)) {
       // Bottom-most eligible level for this key: nothing below the
       // output can hold an older value, so the deletion has finished
       // its job and the key disappears physically.
@@ -782,15 +768,16 @@ void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
                                                  options_.block_size);
         if (build_ctx != nullptr) builder->SetFilterContext(*build_ctx);
       }
-      builder->Add(min_key, inputs[winner].value(), tombstone);
-    }
-    for (auto& input : inputs) {
-      while (input.Valid() && input.key() == min_key) input.Next();
+      builder->Add(key, merged.value(), tombstone);
     }
     if (builder != nullptr &&
         builder->ApproximateBytes() >= target_file_bytes) {
       if (!finish_output()) return;
     }
+  }
+  if (!merged.ok()) {
+    result->error = "compact: input read error";
+    return;
   }
   if (builder != nullptr && builder->num_entries() > 0) {
     if (!finish_output()) return;
@@ -1210,79 +1197,19 @@ std::vector<std::optional<std::string>> Db::MultiGet(
   return result;
 }
 
-std::vector<std::pair<uint64_t, std::string>> Db::ScanVersion(
-    const Version& version, uint64_t lo, uint64_t hi, size_t limit) {
-  // Newest-first merge over every source, tombstones included: the
-  // first writer of a key wins, and a winning tombstone (nullopt)
-  // erases the key from the result.
-  //
-  // Correctness under per-source limits: each source is asked for
-  // scan_limit + 1 entries. A source that fills that budget is
-  // TRUNCATED — beyond its last returned key it may hold entries we
-  // have not seen, so the merge is only trustworthy up to the minimum
-  // such key (`cover`). Tombstones make the naive "first `limit`
-  // merged rows" wrong: deletions consume a newer source's budget, so
-  // an older source's rows past the newer source's truncation point
-  // could win the merge unshadowed. If the covered prefix holds fewer
-  // than `limit` live rows while some source was truncated, the scan
-  // re-runs with a doubled budget until the prefix is proven complete.
-  std::vector<std::pair<uint64_t, std::string>> out;
-  if (limit == 0) return out;
-  size_t scan_limit = limit;
-  for (;;) {
-    std::map<uint64_t, std::optional<std::string>> merged;
-    uint64_t cover = hi;
-    bool truncated = false;
-    auto absorb = [&](std::vector<ScanEntry>& chunk) {
-      if (chunk.size() > scan_limit) {
-        truncated = true;
-        cover = std::min(cover, chunk.back().key);
-      }
-      for (ScanEntry& e : chunk) {
-        merged.emplace(e.key, e.tombstone
-                                  ? std::nullopt
-                                  : std::optional<std::string>(
-                                        std::move(e.value)));
-      }
-    };
-    std::vector<ScanEntry> chunk;
-    version.active()->ScanEntries(lo, hi, scan_limit + 1, &chunk);
-    absorb(chunk);
-    const auto& sealed = version.sealed();
-    for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-      chunk.clear();
-      (*it)->ScanEntries(lo, hi, scan_limit + 1, &chunk);
-      absorb(chunk);
-    }
-    for (const TableReader* table : TablesNewestFirst(version)) {
-      chunk.clear();
-      table->RangeScan(lo, hi, scan_limit + 1, &chunk, &stats_);
-      absorb(chunk);
-    }
-    for (auto& [k, v] : merged) {
-      if (k > cover) break;
-      if (!v.has_value()) continue;  // deleted: the tombstone won
-      out.emplace_back(k, std::move(*v));
-      if (out.size() >= limit) return out;
-    }
-    if (!truncated || cover >= hi) return out;  // prefix proven complete
-    out.clear();
-    scan_limit *= 2;
-  }
-}
-
 std::vector<std::pair<uint64_t, std::string>> Db::RangeScan(uint64_t lo,
                                                             uint64_t hi,
                                                             size_t limit) {
-  if (sampler_ != nullptr) sampler_->RecordRange(lo, hi);
-  auto version = versions_.Current();
-  return ScanVersion(*version, lo, hi, limit);
+  auto batches = ScanRange({&lo, 1}, {&hi, 1}, limit);
+  return std::move(batches[0]);
 }
 
 std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
     std::span<const uint64_t> los, std::span<const uint64_t> his,
     size_t limit) {
-  assert(los.size() == his.size());
+  // Mismatched spans are a malformed batch: answer nothing rather than
+  // read past the shorter one.
+  if (los.size() != his.size()) return {};
   const size_t n = los.size();
   std::vector<std::vector<std::pair<uint64_t, std::string>>> results(n);
   if (n == 0) return results;
@@ -1291,70 +1218,41 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
   auto version = versions_.Current();
   if (limit == 0) return results;
 
-  // Newest-first tombstone-aware merge per range, exactly like
-  // ScanVersion: the first writer of a key wins, a winning tombstone
-  // erases the key, and each source's truncation bounds how far the
-  // merge can be trusted (see ScanVersion).
-  const size_t scan_limit = limit;
-  std::vector<std::map<uint64_t, std::optional<std::string>>> merged(n);
-  std::vector<uint64_t> cover(his.begin(), his.end());
-  std::vector<char> truncated(n, 0);
-  auto absorb = [&](size_t i, std::vector<ScanEntry>& chunk) {
-    if (chunk.size() > scan_limit) {
-      truncated[i] = 1;
-      cover[i] = std::min(cover[i], chunk.back().key);
-    }
-    for (ScanEntry& e : chunk) {
-      merged[i].emplace(e.key, e.tombstone ? std::nullopt
-                                           : std::optional<std::string>(
-                                                 std::move(e.value)));
-    }
-  };
-  std::vector<ScanEntry> chunk;
-  for (size_t i = 0; i < n; ++i) {
-    chunk.clear();
-    version->active()->ScanEntries(los[i], his[i], scan_limit + 1, &chunk);
-    absorb(i, chunk);
+  // One batched filter probe per table; only the tables whose filter
+  // cannot exclude a range join that range's merge, and they read
+  // their blocks through the shared cache.
+  const std::vector<const TableReader*> tables = TablesNewestFirst(*version);
+  auto may_match = std::make_unique<bool[]>(tables.size() * n);
+  for (size_t t = 0; t < tables.size(); ++t) {
+    tables[t]->RangeMultiProbe(los, his, &may_match[t * n], &stats_);
   }
   const auto& sealed = version->sealed();
-  for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-    for (size_t i = 0; i < n; ++i) {
-      chunk.clear();
-      (*it)->ScanEntries(los[i], his[i], scan_limit + 1, &chunk);
-      absorb(i, chunk);
-    }
-  }
-
-  // One batched filter probe per table; only ranges the filter cannot
-  // exclude touch data blocks (cache-served via GetBlock).
-  auto may_match = std::make_unique<bool[]>(n);
-  for (const TableReader* table : TablesNewestFirst(*version)) {
-    table->RangeMultiProbe(los, his, may_match.get(), &stats_);
-    for (size_t i = 0; i < n; ++i) {
-      if (!may_match[i]) continue;
-      chunk.clear();
-      table->ScanBlocks(los[i], his[i], scan_limit + 1, &chunk, &stats_);
-      // Close the loop on the allowed probe: an empty block scan means
-      // the filter's "maybe" was a false positive (a tombstone row
-      // still confirms it — the key is in the table).
-      table->AccountRangeOutcome(!chunk.empty(), &stats_);
-      absorb(i, chunk);
-    }
-  }
   for (size_t i = 0; i < n; ++i) {
-    auto& out = results[i];
-    for (auto& [k, v] : merged[i]) {
-      if (k > cover[i]) break;
-      if (!v.has_value()) continue;  // deleted: the tombstone won
-      out.emplace_back(k, std::move(*v));
-      if (out.size() >= limit) break;
+    MergingIterator merged(his[i]);
+    merged.AddMemTable(*version->active());
+    for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
+      merged.AddMemTable(**it);
     }
-    if (out.size() < limit && truncated[i] && cover[i] < his[i]) {
-      // The covered prefix ran dry before `limit` live rows while some
-      // source was truncated: finish this range through the deepening
-      // scalar scan (rare — needs > limit entries per source with
-      // enough of them tombstoned).
-      out = ScanVersion(*version, los[i], his[i], limit);
+    for (size_t t = 0; t < tables.size(); ++t) {
+      if (may_match[t * n + i]) {
+        merged.AddTable(*tables[t], TableReader::ReadMode::kCached, &stats_);
+      }
+    }
+    merged.Seek(los[i]);
+    // Close the loop on each allowed probe: a table with no entry in
+    // the range was a false positive (a tombstone still confirms it —
+    // the key is in the table). Table sources rank after the memtables.
+    size_t rank = 1 + sealed.size();
+    for (size_t t = 0; t < tables.size(); ++t) {
+      if (may_match[t * n + i]) {
+        tables[t]->AccountRangeOutcome(merged.SourceInRange(rank++), &stats_);
+      }
+    }
+    auto& out = results[i];
+    for (; merged.Valid(); merged.Next()) {
+      if (merged.tombstone()) continue;  // deleted: the tombstone won
+      out.emplace_back(merged.key(), std::string(merged.value()));
+      if (out.size() >= limit) break;
     }
   }
   return results;
@@ -1363,21 +1261,25 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
 bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
   if (sampler_ != nullptr) sampler_->RecordRange(lo, hi);
   auto version = versions_.Current();
-  std::vector<std::pair<uint64_t, std::string>> probe;
-  version->active()->RangeScan(lo, hi, 1, &probe);
-  if (!probe.empty()) return true;
+  auto live_row = [lo, hi](const MemTable& mem) {
+    for (MemTable::Iterator it(mem, lo); it.Valid() && it.key() <= hi;
+         it.Next()) {
+      if (!it.tombstone()) return true;
+    }
+    return false;
+  };
+  if (live_row(*version->active())) return true;
   for (const auto& mem : version->sealed()) {
-    probe.clear();
-    mem->RangeScan(lo, hi, 1, &probe);
-    if (!probe.empty()) return true;
+    if (live_row(*mem)) return true;
   }
+  // Tables answer from their filters alone; every filtered table is
+  // probed so the FPR counters see the query.
   bool any = false;
   for (const TableReader* table : TablesNewestFirst(*version)) {
     if (table->filter() != nullptr) {
-      if (table->RangeScan(lo, hi, 0, static_cast<std::vector<ScanEntry>*>(nullptr),
-                           &stats_)) {
-        any = true;
-      }
+      bool may_match = false;
+      table->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats_);
+      if (may_match) any = true;
     } else {
       if (lo <= table->max_key() && hi >= table->min_key()) any = true;
     }

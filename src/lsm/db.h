@@ -254,7 +254,8 @@ class Db {
       std::span<const uint64_t> keys);
 
   /// Returns up to `limit` entries with keys in [lo, hi], merged over
-  /// the memtables and all SSTs (newest value wins on duplicates).
+  /// the memtables and all SSTs (newest value wins on duplicates) — a
+  /// one-range ScanRange.
   std::vector<std::pair<uint64_t, std::string>> RangeScan(uint64_t lo,
                                                           uint64_t hi,
                                                           size_t limit = 1024);
@@ -262,16 +263,18 @@ class Db {
   /// Batched range scan: result[i] holds the RangeScan(los[i], his[i],
   /// limit) rows. Equivalent to N RangeScan calls but each table's
   /// filter answers the whole batch through one planned
-  /// MayContainRangeBatch (TableReader::RangeMultiProbe), and only the
-  /// ranges the filter cannot exclude touch data blocks — served
-  /// through the shared block cache, so overlapping ranges parse each
-  /// block once. `los` and `his` must have equal length.
+  /// MayContainRangeBatch (TableReader::RangeMultiProbe), and each
+  /// range streams one MergingIterator over the memtables and the
+  /// tables that admitted it, reading blocks through the shared block
+  /// cache, so overlapping ranges parse each block once. Spans of
+  /// unequal length return an empty result.
   std::vector<std::vector<std::pair<uint64_t, std::string>>> ScanRange(
       std::span<const uint64_t> los, std::span<const uint64_t> his,
       size_t limit = 1024);
 
   /// True iff some entry may exist in [lo, hi] — the pure filter-path
-  /// probe used by the FPR experiments (no block reads on negatives).
+  /// probe used by the FPR experiments. Memtables answer exactly; each
+  /// table answers from its filter alone, so no data block is read.
   bool RangeMayMatch(uint64_t lo, uint64_t hi);
 
   /// Seals the active memtable (no-op when empty) and waits until
@@ -391,11 +394,6 @@ class Db {
   /// over the current Version's SSTs). Called after every publication
   /// that changes the table set.
   void UpdateTombstonesLive();
-  /// Shared scan core: newest-first tombstone-aware merge over one
-  /// Version snapshot, deepening its per-source budget until the
-  /// result provably holds the first `limit` live rows of [lo, hi].
-  std::vector<std::pair<uint64_t, std::string>> ScanVersion(
-      const Version& version, uint64_t lo, uint64_t hi, size_t limit);
   /// Synchronous-mode drain: flushes queued memtables front to back,
   /// stopping (and keeping the failed one at the front for the next
   /// call) on the first failure.
@@ -428,8 +426,9 @@ class Db {
   /// DbOptions::max_subcompactions with its 0 = compaction_threads
   /// default resolved.
   size_t EffectiveSubcompactions() const;
-  /// Merges `job`'s inputs restricted to keys in [lo, hi]: k-way merge
-  /// (newest input wins duplicates), tombstones dropped per `shadow`,
+  /// Merges `job`'s inputs restricted to keys in [lo, hi] through one
+  /// MergingIterator (newest input wins duplicates) straight into
+  /// TableBuilder, tombstones dropped per `shadow`,
   /// outputs split near the level's file-size target. Runs on a
   /// subcompaction worker; touches only atomics, the shared read-only
   /// job state, and its own `result`.

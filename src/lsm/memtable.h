@@ -3,7 +3,7 @@
 // delta that is searched "otherwise" (HashSkipLists / HashLinkLists in
 // RocksDB); this is that delta as an arena-backed concurrent skiplist:
 // Put from any number of threads is lock-free (CAS-spliced inserts,
-// one bump-pointer arena allocation per entry), Get/RangeScan never
+// one bump-pointer arena allocation per entry), Get and Iterator never
 // take a lock, and ApproximateBytes is a relaxed atomic so the flush
 // threshold check costs one load.
 //
@@ -99,35 +99,39 @@ class MemTable {
     return Find(key, value) == Lookup::kHit;
   }
 
-  /// Appends live entries in [lo, hi] (up to `limit` total in `out`),
-  /// skipping tombstones — the caller sees only what a Get would.
-  void RangeScan(uint64_t lo, uint64_t hi, size_t limit,
-                 std::vector<std::pair<uint64_t, std::string>>* out) const {
-    SkipList::Iterator it(&rep_->list);
-    for (it.Seek(lo); it.Valid() && it.key() <= hi && out->size() < limit;
-         it.Next()) {
-      const char* v = it.value();
-      if (IsTombstone(v)) continue;
-      out->emplace_back(it.key(), std::string(v + 4, DecodeFixed32(v)));
+  /// Sorted cursor over the skiplist, tombstones included, so a merge
+  /// can let deletions shadow older sources. Lock-free and safe beside
+  /// concurrent writers (it sees some linearization of them). Each
+  /// position loads the entry's value pointer once, so value() and
+  /// tombstone() always describe the same version of the entry. The
+  /// memtable must outlive the cursor.
+  class Iterator {
+   public:
+    /// Positions on the first entry with key >= `start_key`.
+    Iterator(const MemTable& mem, uint64_t start_key)
+        : it_(&mem.rep_->list) {
+      it_.Seek(start_key);
+      Load();
     }
-  }
+    bool Valid() const { return it_.Valid(); }
+    uint64_t key() const { return it_.key(); }
+    bool tombstone() const { return IsTombstone(v_); }
+    /// Empty for a tombstone. Points into the arena.
+    std::string_view value() const {
+      if (tombstone()) return {};
+      return {v_ + 4, DecodeFixed32(v_)};
+    }
+    void Next() {
+      it_.Next();
+      Load();
+    }
 
-  /// Merge-scan variant: appends entries in [lo, hi] INCLUDING
-  /// tombstones (up to `limit` total), so a newest-first merge can let
-  /// deletions shadow older live values.
-  void ScanEntries(uint64_t lo, uint64_t hi, size_t limit,
-                   std::vector<ScanEntry>* out) const {
-    SkipList::Iterator it(&rep_->list);
-    for (it.Seek(lo); it.Valid() && it.key() <= hi && out->size() < limit;
-         it.Next()) {
-      const char* v = it.value();
-      if (IsTombstone(v)) {
-        out->push_back({it.key(), std::string(), true});
-      } else {
-        out->push_back({it.key(), std::string(v + 4, DecodeFixed32(v)), false});
-      }
-    }
-  }
+   private:
+    void Load() { v_ = it_.Valid() ? it_.value() : nullptr; }
+
+    SkipList::Iterator it_;
+    const char* v_ = nullptr;
+  };
 
   uint64_t ApproximateBytes() const {
     return rep_->bytes.load(std::memory_order_relaxed);
@@ -143,21 +147,12 @@ class MemTable {
   /// accounting, not the flush threshold).
   size_t MemoryUsage() const { return rep_->arena.MemoryUsage(); }
 
-  /// Copies all entries (tombstones included) in sorted order — the
-  /// flush path, which writes deletions into the SST so they keep
-  /// shadowing older tables. The sealed memtable no longer takes
-  /// writes when this runs, so the copy is a consistent image.
+  /// Copies all entries (tombstones included) in sorted order.
   std::vector<ScanEntry> Snapshot() const {
     std::vector<ScanEntry> out;
     out.reserve(size());
-    SkipList::Iterator it(&rep_->list);
-    for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      const char* v = it.value();
-      if (IsTombstone(v)) {
-        out.push_back({it.key(), std::string(), true});
-      } else {
-        out.push_back({it.key(), std::string(v + 4, DecodeFixed32(v)), false});
-      }
+    for (Iterator it(*this, 0); it.Valid(); it.Next()) {
+      out.push_back({it.key(), std::string(it.value()), it.tombstone()});
     }
     return out;
   }

@@ -1,7 +1,6 @@
 #include "lsm/sharded_db.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace bloomrf {
 
@@ -140,7 +139,7 @@ std::vector<std::pair<uint64_t, std::string>> ShardedDb::RangeScan(
 std::vector<std::vector<std::pair<uint64_t, std::string>>>
 ShardedDb::ScanRange(std::span<const uint64_t> los,
                      std::span<const uint64_t> his, size_t limit) {
-  assert(los.size() == his.size());
+  if (los.size() != his.size()) return {};
   const size_t n = los.size();
   std::vector<std::vector<std::pair<uint64_t, std::string>>> results(n);
   if (n == 0) return results;

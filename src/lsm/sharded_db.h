@@ -135,7 +135,8 @@ class ShardedDb {
   /// Batched range scan, result[i] answering [los[i], his[i]]. The
   /// whole batch goes to every shard in parallel (one planned
   /// RangeMultiProbe per SST per shard); per-range rows are merged
-  /// across shards in key order up to `limit`.
+  /// across shards in key order up to `limit`. Spans of unequal length
+  /// return an empty result.
   std::vector<std::vector<std::pair<uint64_t, std::string>>> ScanRange(
       std::span<const uint64_t> los, std::span<const uint64_t> his,
       size_t limit = 1024);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -179,6 +181,55 @@ TEST_F(CompactionTest, FailedCompactionLeavesStoreReadable) {
   EXPECT_LT(db.num_tables(), tables_before);
   EXPECT_GT(db.stats().compactions.load(), 0u);
   ExpectExactly(db, expected);
+}
+
+TEST_F(CompactionTest, UnreadableInputBlockFailsTheJob) {
+  // A data block that fails its CRC mid-merge fails the job: outputs
+  // are deleted and the inputs stay published.
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewBloomPolicy(10.0);
+  options.block_size = 256;
+  Db db(options);
+  for (uint64_t k = 0; k < 1000; ++k) ASSERT_TRUE(db.Put(k, MakeValue(k, 16)));
+  ASSERT_TRUE(db.Flush());
+  for (uint64_t k = 0; k < 1000; k += 2) ASSERT_TRUE(db.Put(k, "newer"));
+  ASSERT_TRUE(db.Flush());
+  ASSERT_EQ(db.num_tables(), 2u);
+
+  // The first table's data blocks fill most of the file; flip a byte a
+  // quarter of the way in, far from block 0.
+  std::vector<std::string> ssts;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".sst") ssts.push_back(entry.path());
+  }
+  ASSERT_EQ(ssts.size(), 2u);
+  const std::string first = *std::min_element(
+      ssts.begin(), ssts.end(), [](const auto& a, const auto& b) {
+        return std::stoull(std::filesystem::path(a).stem()) <
+               std::stoull(std::filesystem::path(b).stem());
+      });
+  {
+    const auto offset =
+        static_cast<std::streamoff>(std::filesystem::file_size(first) / 4);
+    std::fstream f(first, std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    f.seekg(offset);
+    f.get(byte);
+    f.seekp(offset);
+    f.put(static_cast<char>(byte ^ 0x5a));
+  }
+
+  EXPECT_FALSE(db.CompactAll());
+  EXPECT_GT(db.stats().compaction_failures.load(), 0u);
+  EXPECT_GT(db.stats().block_crc_errors.load(), 0u);
+  EXPECT_EQ(db.stats().last_error(), "compact: input read error");
+  EXPECT_EQ(db.num_tables(), 2u);
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".sst") ++files;
+  }
+  EXPECT_EQ(files, 2u);
 }
 
 TEST_F(CompactionTest, LegacyDirectoryImportsOnce) {

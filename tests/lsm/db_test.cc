@@ -132,6 +132,22 @@ TEST_F(DbTest, FiltersEliminateIoOnEmptyQueries) {
   EXPECT_LT(stats.blocks_read, stats.filter_probes / 4);
 }
 
+TEST_F(DbTest, RangeMayMatchReadsNoBlocks) {
+  // The filter answers alone: a "maybe" must not scan the range's data
+  // blocks, nor pull them into the block cache.
+  Db db = MakeDb(NewBloomRFPolicy(20.0, 1e6));
+  for (uint64_t k = 0; k < 20000; ++k) db.Put(k * 10, MakeValue(k, 32));
+  ASSERT_TRUE(db.Flush());
+  ASSERT_EQ(db.num_tables(), 1u);
+  db.ResetStats();
+  EXPECT_TRUE(db.RangeMayMatch(1000, 150000));
+  const LsmStats& stats = db.stats();
+  EXPECT_EQ(stats.filter_probes, 1u);
+  EXPECT_EQ(stats.blocks_read, 0u);
+  EXPECT_EQ(stats.bytes_read, 0u);
+  EXPECT_EQ(stats.block_cache_misses, 0u);
+}
+
 TEST_F(DbTest, PointQueriesNoFalseNegativesAcrossManySsts) {
   Db db = MakeDb(NewBloomPolicy(12.0), 16 << 10);
   Dataset data = MakeDataset(10000, Distribution::kNormal, 74);

@@ -126,6 +126,15 @@ TEST_F(ScanRangeTest, MatchesRangeScanForEveryRangeBackend) {
   }
 }
 
+TEST_F(ScanRangeTest, MismatchedSpansReturnNothing) {
+  Db db = MakeDb(NewBloomPolicy(10.0));
+  for (uint64_t k = 0; k < 100; ++k) db.Put(k, "v");
+  ASSERT_TRUE(db.Flush());
+  const std::vector<uint64_t> three = {0, 10, 20}, one = {50};
+  EXPECT_TRUE(db.ScanRange(three, one).empty());
+  EXPECT_TRUE(db.ScanRange(one, three).empty());
+}
+
 TEST_F(ScanRangeTest, RepeatedBatchIsServedByBlockCache) {
   FilterBuildParams params;
   params.bits_per_key = 18.0;

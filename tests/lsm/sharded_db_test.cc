@@ -130,6 +130,15 @@ TEST_F(ShardedDbTest, ScanRangeBatchMatchesSingleScans) {
   }
 }
 
+TEST_F(ShardedDbTest, MismatchedSpansReturnNothing) {
+  ShardedDb db = MakeDb(NewBloomPolicy(10.0), 4);
+  for (uint64_t k = 0; k < 100; ++k) db.Put(k, "v");
+  ASSERT_TRUE(db.Flush());
+  const std::vector<uint64_t> three = {0, 10, 20}, one = {50};
+  EXPECT_TRUE(db.ScanRange(three, one).empty());
+  EXPECT_TRUE(db.ScanRange(one, three).empty());
+}
+
 TEST_F(ShardedDbTest, NewestValueWinsAcrossFlushes) {
   ShardedDb db = MakeDb(NewBloomPolicy(10.0), 4);
   db.Put(1, "old");

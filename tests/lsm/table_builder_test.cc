@@ -45,8 +45,8 @@ TEST_F(TableBuilderTest, EmptyTableReadable) {
   ASSERT_NE(reader, nullptr);
   std::string value;
   EXPECT_FALSE(reader->Get(42, &value, &stats));
-  std::vector<std::pair<uint64_t, std::string>> out;
-  reader->RangeScan(0, UINT64_MAX, 10, &out, &stats);
+  std::vector<ScanEntry> out;
+  reader->ScanBlocks(0, UINT64_MAX, 10, &out, &stats);
   EXPECT_TRUE(out.empty());
 }
 
@@ -83,8 +83,8 @@ TEST_F(TableBuilderTest, ManySmallBlocks) {
     ASSERT_FALSE(reader->Get(k * 2 + 1, &value, &stats)) << k;
   }
   // Scan across many block boundaries.
-  std::vector<std::pair<uint64_t, std::string>> out;
-  reader->RangeScan(500, 700, 1000, &out, &stats);
+  std::vector<ScanEntry> out;
+  reader->ScanBlocks(500, 700, 1000, &out, &stats);
   EXPECT_EQ(out.size(), 101u);  // 500,502,...,700
 }
 
