@@ -22,20 +22,15 @@ std::string BlockBuilder::Finish() {
   return out;
 }
 
-bool ParseBlock(std::string_view data, std::vector<BlockEntry>* entries,
-                bool tombstone_flags) {
+bool ParseBlock(std::string_view data, std::vector<BlockEntry>* entries) {
   entries->clear();
   size_t pos = 0;
   while (pos < data.size()) {
     if (pos + 12 > data.size()) return false;
     uint64_t key = DecodeFixed64(data.data() + pos);
     uint32_t meta = DecodeFixed32(data.data() + pos + 8);
-    bool tombstone = false;
-    uint32_t len = meta;
-    if (tombstone_flags) {
-      tombstone = (meta & BlockBuilder::kTombstoneBit) != 0;
-      len = meta & ~BlockBuilder::kTombstoneBit;
-    }
+    const bool tombstone = (meta & BlockBuilder::kTombstoneBit) != 0;
+    const uint32_t len = meta & ~BlockBuilder::kTombstoneBit;
     pos += 12;
     if (pos + len > data.size()) return false;
     if (tombstone && len != 0) return false;  // tombstones carry no value

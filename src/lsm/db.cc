@@ -14,6 +14,13 @@ namespace bloomrf {
 
 namespace {
 
+/// The live MANIFEST is rewritten as a one-record snapshot once it
+/// grows past this many bytes (and on any append failure).
+constexpr uint64_t kManifestRewriteBytes = 1ull << 20;
+
+/// The workload sampler records 1 in 2^kSamplerPeriodLog2 queries.
+constexpr uint32_t kSamplerPeriodLog2 = 6;
+
 /// Parses "<stem><number><suffix>" names, e.g. wal-12.log or 7.sst.
 bool ParseNumberedFile(const std::string& name, const std::string& stem,
                        const std::string& suffix, uint64_t* number) {
@@ -89,7 +96,7 @@ Db::Db(DbOptions options) : options_(std::move(options)) {
        options_.filter_policy->WantsQueryFeedback());
   if (options_.workload_sampler == nullptr && wants_sampling) {
     options_.workload_sampler =
-        std::make_shared<WorkloadSampler>(options_.sampler_period_log2);
+        std::make_shared<WorkloadSampler>(kSamplerPeriodLog2);
   }
   sampler_ = options_.workload_sampler.get();
   compact_cfg_.l0_trigger = std::max<size_t>(2, options_.l0_compaction_trigger);
@@ -162,7 +169,7 @@ void Db::QuarantineTable(const std::string& path) {
   env_->RenameFile(path, path + ".corrupt");
   ++stats_.tables_quarantined;
   ++recovery_stats_.tables_quarantined;
-  stats_.SetLastError("recover: quarantined unreadable " + path);
+  stats_.SetLastError("recover: quarantined " + path);
 }
 
 std::vector<Version::TableList> Db::OpenTablesFromManifest(
@@ -208,8 +215,7 @@ void Db::Recover() {
 
   // Manifest first: CURRENT names the live one; a missing or torn
   // CURRENT falls back to the newest manifest holding any decodable
-  // edits; a directory with neither gets its *.sst files imported at
-  // L0 by number order (pre-MANIFEST layout, one-shot).
+  // edits.
   ManifestState state;
   bool have_manifest = false;
   uint64_t manifest_number = ReadCurrentManifestNumber(options_.dir);
@@ -239,41 +245,27 @@ void Db::Recover() {
   recovery_stats_.manifest_clean = state.clean;
 
   uint64_t max_file = 0;
-  std::vector<Version::TableList> levels;
-  if (have_manifest) {
-    levels = OpenTablesFromManifest(state, &max_file);
-    // SSTs on disk but absent from the manifest were written durably
-    // and then orphaned by a crash before their manifest edit landed;
-    // their WAL files survived (deletion follows the edit), so the
-    // data returns through replay below. Remove the orphans — but keep
-    // their numbers burned so a reused number can never pair a stale
-    // file with a new manifest entry.
-    std::unordered_set<uint64_t> referenced;
-    for (const auto& level : state.levels) {
-      for (const FileMeta& meta : level) referenced.insert(meta.file_number);
-    }
-    for (const auto& [number, path] :
-         ListNumberedFiles(options_.dir, "", ".sst")) {
-      max_file = std::max(max_file, number);
-      if (referenced.count(number) == 0) env_->DeleteFile(path);
-    }
-  } else {
-    auto ssts = ListNumberedFiles(options_.dir, "", ".sst");
-    levels.resize(1);
-    for (const auto& [number, path] : ssts) {
-      recovery_stats_.legacy_import = true;
-      max_file = std::max(max_file, number);
-      auto reader =
-          TableReader::Open(path, options_.filter_policy.get(), &stats_,
-                            options_.block_cache, number);
-      if (reader == nullptr) {
-        // Legacy torn SST from a crash mid-flush: its WAL was never
-        // deleted, so the data comes back through replay below.
-        QuarantineTable(path);
-        continue;
-      }
-      levels[0].push_back(std::move(reader));
-      ++recovery_stats_.tables_loaded;
+  std::vector<Version::TableList> levels =
+      OpenTablesFromManifest(state, &max_file);
+  // SSTs on disk but absent from the manifest were written durably
+  // and then orphaned by a crash before their manifest edit landed;
+  // their WAL files survived (deletion follows the edit), so the data
+  // returns through replay below. Remove the orphans — but keep their
+  // numbers burned so a reused number can never pair a stale file
+  // with a new manifest entry. With no decodable manifest nothing
+  // places the SSTs in the tree, so they are quarantined instead.
+  std::unordered_set<uint64_t> referenced;
+  for (const auto& level : state.levels) {
+    for (const FileMeta& meta : level) referenced.insert(meta.file_number);
+  }
+  for (const auto& [number, path] :
+       ListNumberedFiles(options_.dir, "", ".sst")) {
+    max_file = std::max(max_file, number);
+    if (referenced.count(number) != 0) continue;
+    if (have_manifest) {
+      env_->DeleteFile(path);
+    } else {
+      QuarantineTable(path);
     }
   }
   {
@@ -287,10 +279,10 @@ void Db::Recover() {
   next_manifest_number_ = max_manifest_seen + 1;
 
   // Every open starts a fresh snapshot manifest, so recovery work
-  // (quarantines, orphan cleanup, legacy import) is captured durably
-  // and old manifests never grow without bound. Failure (unwritable
-  // directory) is tolerated: the store runs, flushes will keep failing
-  // until the disk heals, and last_error says why.
+  // (quarantines, orphan cleanup) is captured durably and old
+  // manifests never grow without bound. Failure (unwritable directory)
+  // is tolerated: the store runs, flushes will keep failing until the
+  // disk heals, and last_error says why.
   {
     std::lock_guard<std::mutex> lock(version_mu_);
     if (WriteManifestSnapshotLocked(*versions_.Current())) {
@@ -369,7 +361,7 @@ bool Db::WriteManifestSnapshotLocked(const Version& v) {
   const uint64_t old_number = manifest_ != nullptr ? manifest_->number() : 0;
   manifest_ = std::move(writer);
   manifest_rewrite_limit_ = std::max<uint64_t>(
-      options_.manifest_rewrite_bytes, manifest_->bytes_written() + 1);
+      kManifestRewriteBytes, manifest_->bytes_written() + 1);
   ++stats_.manifest_rewrites;
   if (old_number != 0) {
     env_->DeleteFile(ManifestFileName(options_.dir, old_number));

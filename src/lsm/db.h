@@ -41,7 +41,7 @@
 //    value of its key on all read paths. Compaction physically drops a
 //    tombstone only when no level below its output can still hold the
 //    key (see lsm/compaction.h TombstoneShadow) — so a deleted key can
-//    never resurrect, not even across crashes or legacy-table imports.
+//    never resurrect, not even across crashes.
 //
 //   DbOptions options;
 //   options.dir = "/tmp/db";
@@ -152,20 +152,16 @@ struct DbOptions {
   /// The merging thread steals queued tasks while it waits, so even a
   /// 0-thread pool makes full progress.
   std::shared_ptr<ThreadPool> compaction_pool;
-  /// The live MANIFEST is rewritten as a one-record snapshot once it
-  /// grows past this many bytes (and on any append failure).
-  uint64_t manifest_rewrite_bytes = 1ull << 20;
   /// Workload sampling for the adaptive filter loop: every read path
-  /// (Get/MultiGet/RangeScan/ScanRange/RangeMayMatch) records a
-  /// 1-in-2^sampler_period_log2 sample of its queries into a
-  /// WorkloadSampler, which flush and compaction hand to the filter
-  /// policy at build time. On automatically when the policy wants
-  /// feedback (AdaptiveFilterPolicy); `sample_queries` forces it on
-  /// for any policy. A non-null `workload_sampler` is used as-is
-  /// (sharing one sampler across Dbs); null auto-creates one.
+  /// (Get/MultiGet/RangeScan/ScanRange/RangeMayMatch) records a 1-in-64
+  /// sample of its queries into a WorkloadSampler, which flush and
+  /// compaction hand to the filter policy at build time. On
+  /// automatically when the policy wants feedback
+  /// (AdaptiveFilterPolicy); `sample_queries` forces it on for any
+  /// policy. A non-null `workload_sampler` is used as-is (sharing one
+  /// sampler across Dbs); null auto-creates one.
   bool sample_queries = false;
   std::shared_ptr<WorkloadSampler> workload_sampler;
-  uint32_t sampler_period_log2 = 6;
 };
 
 struct DbFlushStats {
@@ -180,12 +176,9 @@ struct DbRecoveryStats {
   uint64_t tables_loaded = 0;        // manifest-referenced SSTs re-opened
   uint64_t manifest_edits_replayed = 0;
   bool manifest_clean = true;  // false: manifest replay stopped at a torn tail
-  /// True when the directory predates the MANIFEST: its *.sst files
-  /// were imported into L0 by number order (one-shot; this open writes
-  /// the first manifest).
-  bool legacy_import = false;
-  /// Manifest-referenced SSTs that failed open-time validation and
-  /// were renamed aside as <name>.corrupt.
+  /// SSTs renamed aside as <name>.corrupt: manifest-referenced ones
+  /// that failed open-time validation, or every *.sst of a directory
+  /// with no decodable manifest.
   uint64_t tables_quarantined = 0;
   uint64_t wal_files_replayed = 0;
   /// Logs at or below the manifest's flushed-through number: their
@@ -359,17 +352,17 @@ class Db {
     return options_.dir + "/" + std::to_string(file_number) + ".sst";
   }
   /// Rebuilds the table tree from CURRENT → MANIFEST (falling back to
-  /// the newest manifest on disk, then to a legacy *.sst import),
-  /// quarantines unreadable tables, writes a fresh snapshot manifest
-  /// for this life, and replays surviving WAL files into the fresh
-  /// active memtable.
+  /// the newest manifest on disk), quarantines tables it cannot use
+  /// (unreadable, or no manifest to place them), writes a fresh
+  /// snapshot manifest for this life, and replays surviving WAL files
+  /// into the fresh active memtable.
   void Recover();
   /// Opens the manifest-referenced tables into a level structure;
   /// shared by the CURRENT and fallback recovery paths.
   std::vector<Version::TableList> OpenTablesFromManifest(
       const ManifestState& state, uint64_t* max_file_seen);
-  /// Renames an unreadable SST to <path>.corrupt so recovery does not
-  /// retry it forever, and accounts it.
+  /// Renames an SST recovery cannot use to <path>.corrupt so it is
+  /// not retried forever, and accounts it.
   void QuarantineTable(const std::string& path);
   /// Opens the next wal-<n>.log and makes it current. Caller holds
   /// seal_mu_ exclusively (or is the constructor).

@@ -40,7 +40,6 @@ ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
     shard_options.level_base_bytes = options_.level_base_bytes;
     shard_options.level_size_multiplier = options_.level_size_multiplier;
     shard_options.max_levels = options_.max_levels;
-    shard_options.manifest_rewrite_bytes = options_.manifest_rewrite_bytes;
     shard_options.compaction_threads = options_.compaction_threads;
     shard_options.max_subcompactions = options_.max_subcompactions;
     shard_options.subcompaction_min_bytes = options_.subcompaction_min_bytes;
@@ -48,7 +47,6 @@ ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
     // One sampler per shard (each shard Db creates its own): the
     // adaptive loop tunes shard-local filters from shard-local traffic.
     shard_options.sample_queries = options_.sample_queries;
-    shard_options.sampler_period_log2 = options_.sampler_period_log2;
     shards_.push_back(std::make_unique<Db>(std::move(shard_options)));
   }
   size_t workers = options_.worker_threads > 0 ? options_.worker_threads

@@ -61,7 +61,6 @@ struct ShardedDbOptions {
   uint64_t level_base_bytes = 8ull << 20;
   size_t level_size_multiplier = 8;
   size_t max_levels = 6;
-  uint64_t manifest_rewrite_bytes = 1ull << 20;
   /// Per-shard compaction scheduler width (see
   /// DbOptions::compaction_threads). Each shard gets its own worker
   /// set; shards already parallelize across each other, so > 1 mainly
@@ -79,7 +78,6 @@ struct ShardedDbOptions {
   /// stream with its own sampler, so shard-local flushes and
   /// compactions tune from shard-local traffic.
   bool sample_queries = false;
-  uint32_t sampler_period_log2 = 6;
   /// Fan-out workers for batch APIs; 0 sizes the pool to num_shards.
   /// Callers of MultiGet/ScanRange also steal tasks while waiting, so
   /// even worker_threads == 0 with a 1-shard engine stays a plain

@@ -3,16 +3,14 @@
 #include <cstdio>
 #include <cstring>
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "lsm/env.h"
 #include "lsm/table_reader.h"  // LsmStats
 #include "util/coding.h"
 #include "util/crc32c.h"
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 namespace bloomrf {
 
@@ -184,6 +182,9 @@ WalReplayResult WalReplay(
         // all-or-nothing holds for mixed put/delete records too).
         if (payload.size() < 4) return false;
         uint32_t count = DecodeFixed32(payload.data());
+        // Every entry takes at least 9 bytes (a delete: key + flags),
+        // so a larger count is garbage; checked before reserving.
+        if (count > (payload.size() - 4) / 9) return false;
         struct Entry {
           uint64_t key;
           std::string_view value;
@@ -222,7 +223,7 @@ WalReplayResult WalReplay(
 }
 
 // ---------------------------------------------------------------------
-// WalWriter: mmap-backed on POSIX. Records are memcpy'd into a shared
+// WalWriter: mmap-backed. Records are memcpy'd into a shared
 // file mapping, which lands them in the kernel page cache with no
 // syscall per commit — the same durability as write() without fsync (a
 // process crash loses nothing; dirty pages belong to the kernel), at a
@@ -243,17 +244,11 @@ WalWriter::WalWriter(std::string path, bool fsync_on_commit, LsmStats* stats,
     }
     return;
   }
-#ifndef _WIN32
   fd_ = ::open(path_.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
   if (fd_ >= 0 && !Remap(kInitialMapBytes)) {
     ::close(fd_);
     fd_ = -1;
   }
-#else
-  // Windows fallback: buffered stdio, flushed per group commit.
-  fd_ = -1;
-  file_ = std::fopen(path_.c_str(), "wb");
-#endif
   if (!FileOk()) {
     broken_ = true;
     if (stats_ != nullptr) {
@@ -263,7 +258,6 @@ WalWriter::WalWriter(std::string path, bool fsync_on_commit, LsmStats* stats,
 }
 
 WalWriter::~WalWriter() {
-#ifndef _WIN32
   if (map_ != nullptr) ::munmap(map_, map_size_);
   if (fd_ >= 0) {
     // Trim the preallocated tail so the on-disk file is exactly the
@@ -273,20 +267,10 @@ WalWriter::~WalWriter() {
     }
     ::close(fd_);
   }
-#else
-  if (file_ != nullptr) std::fclose(file_);
-#endif
 }
 
-bool WalWriter::FileOk() const {
-#ifndef _WIN32
-  return fd_ >= 0 && map_ != nullptr;
-#else
-  return file_ != nullptr;
-#endif
-}
+bool WalWriter::FileOk() const { return fd_ >= 0 && map_ != nullptr; }
 
-#ifndef _WIN32
 bool WalWriter::Remap(size_t new_size) {
   if (map_ != nullptr) {
     ::munmap(map_, map_size_);
@@ -316,14 +300,12 @@ bool WalWriter::Remap(size_t new_size) {
   map_size_ = new_size;
   return true;
 }
-#endif
 
 bool WalWriter::WriteBytes(const char* data, size_t n) {
   // Fault checkpoint only — the bytes still travel through the mmap
   // below when allowed. Crash-mode envs never fail this site (page
   // cache survives a process kill); site hooks can.
   if (env_ != nullptr && env_->InjectFault("wal.append")) return false;
-#ifndef _WIN32
   while (offset_ + n > map_size_) {
     size_t grown = map_size_ * 2;
     while (offset_ + n > grown) grown *= 2;
@@ -341,10 +323,6 @@ bool WalWriter::WriteBytes(const char* data, size_t n) {
       return false;
     }
   }
-#else
-  if (std::fwrite(data, 1, n, file_) != n) return false;
-  if (fsync_on_commit_ && std::fflush(file_) != 0) return false;
-#endif
   if (stats_ != nullptr) {
     stats_->group_commit_batches.fetch_add(1, std::memory_order_relaxed);
     stats_->wal_synced_bytes.fetch_add(n, std::memory_order_relaxed);
@@ -449,14 +427,10 @@ bool WalWriter::Sync() {
   cv_.wait(lock, [&] { return !leader_active_ || broken_; });
   --waiters_;
   if (broken_) return false;
-#ifndef _WIN32
   // The mapping's dirty pages already belong to the page cache; msync
   // pushes them (and thus every committed record) to stable storage.
   return offset_ == 0 ||
          ::msync(map_, (offset_ + 4095) & ~size_t{4095}, MS_SYNC) == 0;
-#else
-  return std::fflush(file_) == 0;
-#endif
 }
 
 }  // namespace bloomrf

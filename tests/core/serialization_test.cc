@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
 #include "core/bloomrf.h"
 #include "core/tuning_advisor.h"
@@ -12,6 +11,13 @@ namespace bloomrf {
 namespace {
 
 using ::bloomrf::testing::RandomKeySet;
+
+// Offset of the hash-scheme byte in a serialized filter: tag, domain
+// bits, layer count, 3 bytes per layer, segment count, 8 bytes per
+// segment, exact-layer and permutation flags.
+size_t SchemeByteOffset(const BloomRFConfig& cfg) {
+  return 12 + 3 * cfg.num_layers() + 4 + 8 * cfg.segment_bits.size() + 2;
+}
 
 TEST(SerializationTest, RoundTripBasic) {
   auto keys = RandomKeySet(5000, 41);
@@ -68,6 +74,22 @@ TEST(SerializationTest, RejectsGarbage) {
   EXPECT_FALSE(BloomRF::Deserialize("garbage").has_value());
   EXPECT_FALSE(
       BloomRF::Deserialize(std::string(200, '\xff')).has_value());
+
+  // Retired and unknown formats: the V1 layout (tag 0xb100f001, no
+  // scheme byte) and any scheme byte other than 1 (double hashing).
+  BloomRF filter(BloomRFConfig::Basic(1000, 12.0));
+  const std::string data = filter.Serialize();
+  const size_t scheme_at = SchemeByteOffset(filter.config());
+  ASSERT_EQ(data[scheme_at], 1);
+  std::string v1;
+  PutFixed32(&v1, 0xb100f001);
+  v1 += data.substr(4, scheme_at - 4) + data.substr(scheme_at + 1);
+  EXPECT_FALSE(BloomRF::Deserialize(v1).has_value());
+  for (uint8_t scheme : {uint8_t{0}, uint8_t{2}, uint8_t{0xff}}) {
+    std::string bad = data;
+    bad[scheme_at] = static_cast<char>(scheme);
+    EXPECT_FALSE(BloomRF::Deserialize(bad).has_value()) << int{scheme};
+  }
 }
 
 TEST(SerializationTest, RejectsTruncation) {
@@ -130,7 +152,7 @@ TEST(SerializationTest, HugeSegmentClaimRejectedWithoutAllocating) {
   // must be rejected by the size pre-check, not by an allocation
   // attempt.
   std::string evil;
-  PutFixed32(&evil, 0xb100f001);           // magic
+  PutFixed32(&evil, 0xb100f002);           // magic
   PutFixed32(&evil, 64);                   // domain_bits
   PutFixed32(&evil, 1);                    // one layer
   evil.push_back(7);                       // delta
@@ -140,52 +162,15 @@ TEST(SerializationTest, HugeSegmentClaimRejectedWithoutAllocating) {
   PutFixed64(&evil, uint64_t{1} << 50);    // absurd segment_bits
   evil.push_back(0);                       // no exact layer
   evil.push_back(0);                       // no permutation
+  evil.push_back(1);                       // double-hash scheme
   PutFixed64(&evil, 0x5eed);               // seed
   EXPECT_FALSE(BloomRF::Deserialize(evil).has_value());
 }
 
-TEST(SerializationTest, LegacyFormatBlocksStillLoadAndAnswer) {
-  // Filters serialized before the hash-once format bump carry the V1
-  // tag and the per-replica hash layout. Building with the legacy
-  // scheme reproduces that byte layout exactly; the deserialized
-  // filter must keep the scheme and answer identically — scalar and
-  // batched — including with replicas > 1, where the schemes place
-  // bits differently.
-  BloomRFConfig cfg = BloomRFConfig::Basic(2000, 16.0);
-  cfg.hash_scheme = HashScheme::kLegacyPerReplica;
-  cfg.replicas.assign(cfg.replicas.size(), 2);
-  BloomRF filter(cfg);
-  auto keys = RandomKeySet(2000, 48);
-  for (uint64_t k : keys) filter.Insert(k);
-
-  std::string data = filter.Serialize();
-  ASSERT_GE(data.size(), 4u);
-  EXPECT_EQ(DecodeFixed32(data.data()), 0xb100f001u);  // pre-bump tag
-
-  auto restored = BloomRF::Deserialize(data);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->config().hash_scheme, HashScheme::kLegacyPerReplica);
-  for (uint64_t k : keys) EXPECT_TRUE(restored->MayContain(k)) << k;
-
-  Rng rng(49);
-  std::vector<uint64_t> probes;
-  for (int i = 0; i < 5000; ++i) probes.push_back(rng.Next());
-  for (uint64_t k : keys) probes.push_back(k);
-  auto batched = std::make_unique<bool[]>(probes.size());
-  restored->MayContainBatch(probes, batched.get());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(batched[i], filter.MayContain(probes[i])) << probes[i];
-    uint64_t hi = probes[i] | 0xffff;
-    EXPECT_EQ(restored->MayContainRange(probes[i], hi),
-              filter.MayContainRange(probes[i], hi));
-  }
-}
-
 TEST(SerializationTest, CurrentFormatCarriesHashScheme) {
-  // New filters default to the hash-once scheme and serialize with the
-  // V2 tag; the scheme survives the round trip.
+  // Filters serialize with the V2 tag and scheme byte 1 (hash-once
+  // double hashing), and answer identically after the round trip.
   BloomRFConfig cfg = BloomRFConfig::Basic(1000, 14.0);
-  ASSERT_EQ(cfg.hash_scheme, HashScheme::kDoubleHash);
   cfg.replicas.assign(cfg.replicas.size(), 2);
   BloomRF filter(cfg);
   auto keys = RandomKeySet(1000, 50);
@@ -194,10 +179,10 @@ TEST(SerializationTest, CurrentFormatCarriesHashScheme) {
   std::string data = filter.Serialize();
   ASSERT_GE(data.size(), 4u);
   EXPECT_EQ(DecodeFixed32(data.data()), 0xb100f002u);
+  EXPECT_EQ(data[SchemeByteOffset(cfg)], 1);
 
   auto restored = BloomRF::Deserialize(data);
   ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->config().hash_scheme, HashScheme::kDoubleHash);
   for (uint64_t k : keys) EXPECT_TRUE(restored->MayContain(k)) << k;
   Rng rng(51);
   for (int i = 0; i < 5000; ++i) {

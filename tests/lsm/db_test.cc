@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "tests/test_util.h"
+#include "util/coding.h"
 #include "workload/key_generator.h"
 #include "workload/query_generator.h"
 
@@ -27,6 +30,19 @@ class DbTest : public ::testing::Test {
     options.filter_policy = std::move(policy);
     options.memtable_bytes = memtable_bytes;
     return Db(options);
+  }
+
+  /// Paths of `dir_`'s files with extension `ext` (".sst", ".corrupt"),
+  /// shortest name first so numbered files come in number order.
+  std::vector<std::string> FilesWithExtension(const std::string& ext) const {
+    std::vector<std::string> out;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() == ext) out.push_back(entry.path());
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.size() != b.size() ? a.size() < b.size() : a < b;
+    });
+    return out;
   }
 
   std::string dir_;
@@ -287,6 +303,88 @@ TEST_F(DbTest, WorksWithEveryPolicy) {
           << "policy " << idx;
     }
   }
+}
+
+TEST_F(DbTest, RetiredSstFooterIsQuarantinedOnReopen) {
+  // An SST ending in the retired v2 footer (48 bytes, magic
+  // 0xb100f54b1e52) fails to open: recovery renames it aside, counts
+  // it, says why, and keeps serving the other table.
+  {
+    Db db = MakeDb(NewBloomPolicy(10.0));
+    for (uint64_t k = 0; k < 500; ++k) ASSERT_TRUE(db.Put(k, MakeValue(k, 16)));
+    ASSERT_TRUE(db.Flush());
+    for (uint64_t k = 1000; k < 1500; ++k) ASSERT_TRUE(db.Put(k, "newer"));
+    ASSERT_TRUE(db.Flush());
+  }
+  auto ssts = FilesWithExtension(".sst");
+  ASSERT_EQ(ssts.size(), 2u);
+  const std::string victim = ssts[1];  // the second flush (keys 1000+)
+  {
+    // Re-footer it as a well-formed v2 table: same block extents and
+    // CRCs, no tombstone count. Its blocks hold no tombstones, so they
+    // are byte-identical in both formats; only the version is retired.
+    std::ifstream in(victim, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 56u);
+    const std::string v3 = bytes.substr(bytes.size() - 56);
+    bytes.resize(bytes.size() - 56);
+    bytes += v3.substr(0, 32);   // index/filter offsets and sizes
+    bytes += v3.substr(40, 8);   // index and filter CRCs
+    PutFixed64(&bytes, 0xb100f54b1e52ULL);
+    std::ofstream out(victim, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  Db db = MakeDb(NewBloomPolicy(10.0));
+  EXPECT_FALSE(std::filesystem::exists(victim));
+  EXPECT_TRUE(std::filesystem::exists(victim + ".corrupt"));
+  EXPECT_EQ(db.recovery_stats().tables_quarantined, 1u);
+  EXPECT_EQ(db.stats().tables_quarantined.load(), 1u);
+  const std::string name = std::filesystem::path(victim).filename().string();
+  EXPECT_NE(db.stats().last_error().find(name), std::string::npos)
+      << db.stats().last_error();
+  EXPECT_EQ(db.num_tables(), 1u);
+  std::string value;
+  for (uint64_t k = 0; k < 500; ++k) {
+    ASSERT_TRUE(db.Get(k, &value)) << k;
+    EXPECT_EQ(value, MakeValue(k, 16));
+  }
+}
+
+TEST_F(DbTest, SstsWithoutManifestAreQuarantined) {
+  // With CURRENT and every MANIFEST gone, nothing places the SSTs in
+  // the tree: all of them are quarantined, and the keys written after
+  // the last flush come back from the WAL.
+  {
+    Db db = MakeDb(NewBloomPolicy(10.0));
+    for (uint64_t k = 0; k < 800; ++k) ASSERT_TRUE(db.Put(k, "flushed"));
+    ASSERT_TRUE(db.Flush());
+    for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(db.Put(k, "flushed2"));
+    ASSERT_TRUE(db.Flush());
+    for (uint64_t k = 5000; k < 5300; ++k) {
+      ASSERT_TRUE(db.Put(k, MakeValue(k, 16)));
+    }
+  }
+  ASSERT_TRUE(std::filesystem::remove(CurrentFileName(dir_)));
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().filename().string().rfind("MANIFEST-", 0) == 0) {
+      std::filesystem::remove(entry.path());
+    }
+  }
+  ASSERT_EQ(FilesWithExtension(".sst").size(), 2u);
+
+  Db db = MakeDb(NewBloomPolicy(10.0));
+  EXPECT_TRUE(FilesWithExtension(".sst").empty());
+  EXPECT_EQ(FilesWithExtension(".corrupt").size(), 2u);
+  EXPECT_EQ(db.recovery_stats().tables_quarantined, 2u);
+  EXPECT_EQ(db.recovery_stats().tables_loaded, 0u);
+  EXPECT_EQ(db.num_tables(), 0u);
+  std::string value;
+  for (uint64_t k = 5000; k < 5300; ++k) {
+    ASSERT_TRUE(db.Get(k, &value)) << k;
+    EXPECT_EQ(value, MakeValue(k, 16));
+  }
+  EXPECT_FALSE(db.Get(0, &value));
 }
 
 }  // namespace

@@ -337,7 +337,7 @@ TEST_F(ManifestDbTest, MissingCurrentFallsBackToNewestManifest) {
   }
   ASSERT_TRUE(std::filesystem::remove(CurrentFileName(dir_)));
   Db db(Options());
-  EXPECT_FALSE(db.recovery_stats().legacy_import);
+  EXPECT_EQ(db.recovery_stats().tables_quarantined, 0u);
   EXPECT_GE(db.recovery_stats().tables_loaded, 2u);
   EXPECT_GT(db.recovery_stats().manifest_edits_replayed, 0u);
   std::string value;

@@ -205,6 +205,23 @@ TEST_F(WalTest, UnknownOpFlagBitsStopReplay) {
   EXPECT_TRUE(replayed.empty());
 }
 
+TEST_F(WalTest, ImpossibleEntryCountStopsReplay) {
+  // A CRC-valid ops record claiming 2^32-1 entries in a one-entry
+  // payload: rejected by the count check (every entry is at least 9
+  // bytes), never by an attempt to reserve that many entries.
+  std::string payload;
+  payload.append("\xff\xff\xff\xff", 4);                  // count
+  payload.append("\x2a\x00\x00\x00\x00\x00\x00\x00", 8);  // key = 42
+  payload.push_back(0x01);                                // delete
+  std::string record;
+  AppendFramedRecord(/*type=*/3, payload, &record);
+  AppendRaw(record);
+  WalReplayResult result;
+  auto replayed = ReplayOps(&result);
+  EXPECT_FALSE(result.clean);
+  EXPECT_TRUE(replayed.empty());
+}
+
 TEST_F(WalTest, MissingFileRepliesCleanEmpty) {
   WalReplayResult result;
   auto entries = Replay(&result);
