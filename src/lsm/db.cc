@@ -400,45 +400,41 @@ void Db::DeleteLogsThrough(uint64_t max_log) {
 }
 
 bool Db::Put(uint64_t key, std::string_view value) {
-  KV kv{key, value};
-  return PutBatch({&kv, 1});
+  const WriteOp op{key, value, false};
+  return WriteBatch({&op, 1});
 }
 
-bool Db::Delete(uint64_t key) { return DeleteBatch({&key, 1}); }
-
-bool Db::DeleteBatch(std::span<const uint64_t> keys) {
-  if (keys.empty()) return true;
-  bool ok = true;
-  uint64_t bytes;
-  {
-    // Same discipline as PutBatch: log + apply under one shared hold
-    // of the seal lock so the delete record and its tombstones stay in
-    // the same memtable generation.
-    std::shared_lock<std::shared_mutex> seal_lock(seal_mu_);
-    if (wal_ != nullptr) {
-      thread_local std::string record;
-      WalEncodeDeletesTo(keys, &record);
-      ok = wal_->Append(record);
-    }
-    for (uint64_t key : keys) active_->Delete(key);
-    bytes = active_->ApproximateBytes();
-  }
-  if (bytes >= options_.memtable_bytes) {
-    if (!SealActive(/*force=*/false)) ok = false;
-  }
-  return ok;
+bool Db::Delete(uint64_t key) {
+  const WriteOp op{key, {}, true};
+  return WriteBatch({&op, 1});
 }
 
 bool Db::WriteBatch(std::span<const WriteOp> ops) {
   if (ops.empty()) return true;
-  bool ok = true;
   uint64_t bytes;
   {
+    // Shared section: writers run concurrently with each other; only
+    // the seal swap excludes them. Logging and inserting under the
+    // same shared hold pins the record to the memtable generation —
+    // rotation can never slip between them.
     std::shared_lock<std::shared_mutex> seal_lock(seal_mu_);
     if (wal_ != nullptr) {
+      // Reused per thread so the hot path does not allocate a fresh
+      // record buffer on every write.
       thread_local std::string record;
       WalEncodeOpsTo(ops, &record);
-      ok = wal_->Append(record);
+      if (!wal_->Append(record)) {
+        // Not logged, so not applied: readers and replay agree with
+        // the caller's false. The broken log fails every later append,
+        // and writes that are not applied never fill the memtable to
+        // the seal that would rotate it, so rotate here. The active
+        // memtable's max_log moves to the new log, so its flush
+        // deletes both.
+        seal_lock.unlock();
+        std::unique_lock<std::shared_mutex> rotate_lock(seal_mu_);
+        if (wal_->broken()) RotateWal();
+        return false;
+      }
     }
     for (const WriteOp& op : ops) {
       if (op.is_delete) {
@@ -449,36 +445,7 @@ bool Db::WriteBatch(std::span<const WriteOp> ops) {
     }
     bytes = active_->ApproximateBytes();
   }
-  if (bytes >= options_.memtable_bytes) {
-    if (!SealActive(/*force=*/false)) ok = false;
-  }
-  return ok;
-}
-
-bool Db::PutBatch(std::span<const KV> kvs) {
-  if (kvs.empty()) return true;
-  bool ok = true;
-  uint64_t bytes;
-  {
-    // Shared section: writers run concurrently with each other; only
-    // the seal swap excludes them. Logging and inserting under the
-    // same shared hold pins the record to the memtable generation —
-    // rotation can never slip between them.
-    std::shared_lock<std::shared_mutex> seal_lock(seal_mu_);
-    if (wal_ != nullptr) {
-      // Reused per thread so the hot path does not allocate a fresh
-      // record buffer on every Put.
-      thread_local std::string record;
-      WalEncodeRecordTo(kvs, &record);
-      ok = wal_->Append(record);
-    }
-    for (const KV& kv : kvs) active_->Put(kv.key, kv.value);
-    bytes = active_->ApproximateBytes();
-  }
-  if (bytes >= options_.memtable_bytes) {
-    if (!SealActive(/*force=*/false)) ok = false;
-  }
-  return ok;
+  return bytes < options_.memtable_bytes || SealActive(/*force=*/false);
 }
 
 bool Db::SealActive(bool force) {
@@ -506,7 +473,7 @@ bool Db::SealActive(bool force) {
     std::lock_guard<std::mutex> lock(flush_mu_);
     flush_queue_.push_back(std::move(entry));
     // A previously failed flush parks the worker; sealing counts as a
-    // retry trigger too, so a Put-only application self-recovers once
+    // retry trigger too, so a write-only application self-recovers once
     // the disk heals — and hears about the failure (return false)
     // instead of growing the queue silently forever.
     if (flush_error_) {

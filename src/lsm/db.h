@@ -19,15 +19,18 @@
 //    snapshot of the current immutable Version (active memtable +
 //    sealed memtables + leveled SST tree, published through an
 //    atomically-swapped shared_ptr) and runs lock-free against it.
-//  - Put/PutBatch from multiple threads run concurrently: the memtable
-//    is an arena-backed concurrent skiplist (CAS-spliced inserts), the
-//    WAL batches all concurrent appends into one group-commit write,
-//    and the only serialization writers share is a shared_mutex read
-//    lock around the seal swap (writers among themselves are
-//    lock-free; sealing takes the lock exclusively for one pointer
-//    swap + WAL rotation).
-//  - Durability: with DbOptions::wal every Put is logged before it is
-//    applied. The durable table state lives in a versioned MANIFEST
+//  - Every write goes through WriteBatch (Put and Delete are one-op
+//    batches), and writers from multiple threads run concurrently: the
+//    memtable is an arena-backed concurrent skiplist (CAS-spliced
+//    inserts), the WAL batches all concurrent appends into one
+//    group-commit write, and the only serialization writers share is a
+//    shared_mutex read lock around the seal swap (writers among
+//    themselves are lock-free; sealing, and replacing a log whose
+//    append failed, take the lock exclusively for one pointer swap +
+//    WAL rotation).
+//  - Durability: with DbOptions::wal every write is logged before it
+//    is applied, and a write whose log append failed is not applied
+//    at all. The durable table state lives in a versioned MANIFEST
 //    (see lsm/manifest.h): every flush and compaction appends a synced
 //    edit before its Version publishes, recovery replays CURRENT →
 //    MANIFEST → WAL in that order, and an SST is fsynced and renamed
@@ -35,8 +38,8 @@
 //    instant loses at most the records after the last group commit
 //    (none with wal_fsync) and never loses, duplicates or resurrects
 //    a flushed key.
-//  - Deletes are first-class tombstones: Delete/DeleteBatch log a
-//    delete record, write a tombstone through the memtable, and the
+//  - Deletes are first-class tombstones: a delete op is logged in its
+//    batch's record, writes a tombstone through the memtable, and the
 //    tombstone rides flushes into v3 SSTs where it shadows every older
 //    value of its key on all read paths. Compaction physically drops a
 //    tombstone only when no level below its output can still hold the
@@ -98,12 +101,13 @@ struct DbOptions {
   /// writers never wait on file I/O. Off = the sealing Put (or Flush
   /// call) writes the SST synchronously, as before this option.
   bool background_flush = true;
-  /// Write-ahead log: every Put/PutBatch is group-committed to a
-  /// CRC-framed log before it is applied, the log rotates at each
-  /// memtable seal and is deleted once that memtable's flush has
-  /// committed to the MANIFEST, and opening a Db replays any surviving
-  /// logs newer than the manifest's flushed-through log number. Off =
-  /// the pre-WAL behaviour (a crash loses the memtable).
+  /// Write-ahead log: every write is group-committed to a CRC-framed
+  /// log before it is applied (a failed append applies nothing), the
+  /// log rotates at each memtable seal and after a failed append and
+  /// is deleted once its memtable's flush has committed to the
+  /// MANIFEST, and opening a Db replays any surviving logs newer than
+  /// the manifest's flushed-through log number. Off = the pre-WAL
+  /// behaviour (a crash loses the memtable).
   bool wal = true;
   /// fdatasync every group commit before Append returns. Off (default)
   /// leaves the OS page cache between commit and disk: a process crash
@@ -200,36 +204,26 @@ class Db {
   Db(const Db&) = delete;
   Db& operator=(const Db&) = delete;
 
-  /// Inserts/overwrites a key in the active memtable; seals the
-  /// memtable for flushing when it exceeds its budget. Safe from any
-  /// number of threads concurrently (lock-free skiplist insert behind
-  /// a shared seal lock). Returns false when the WAL append failed or
-  /// a (possibly earlier, background) flush failed — the data stays
-  /// readable in memory either way; see stats().last_error().
-  bool Put(uint64_t key, std::string_view value);
-
-  /// Atomicity-of-logging batch write: all of `kvs` go into one WAL
-  /// record (one group-commit participant, so recovery applies all or
-  /// none of the batch) and one memtable pass. The entries land
-  /// individually — concurrent readers may observe a prefix.
-  bool PutBatch(std::span<const KV> kvs);
-
-  /// Deletes a key: a tombstone is logged (delete record) and written
-  /// through the memtable, shadowing every older value of the key on
-  /// all read paths until compaction proves nothing deeper can hold
-  /// the key and physically drops it. Deleting an absent key is legal
-  /// (the tombstone is kept until the same proof). Same concurrency
-  /// and error semantics as Put.
-  bool Delete(uint64_t key);
-
-  /// Batched delete: one WAL record (all-or-nothing on recovery), one
-  /// memtable pass. Mirrors PutBatch.
-  bool DeleteBatch(std::span<const uint64_t> keys);
-
-  /// Mixed put/delete batch in one WAL record — recovery applies all
-  /// of it or none. Ops apply in order (a later op on the same key
-  /// wins).
+  /// The one write path. Logs all of `ops` as one WAL record (one
+  /// group-commit participant, so recovery applies all or none of the
+  /// batch), then applies them to the active memtable in order (a
+  /// later op on the same key wins; concurrent readers may observe a
+  /// prefix), and seals the memtable for flushing when it exceeds its
+  /// budget. A delete writes a tombstone that shadows every older
+  /// value of its key on all read paths until compaction proves
+  /// nothing deeper can hold the key and physically drops it; deleting
+  /// an absent key is legal. Safe from any number of threads
+  /// concurrently (lock-free skiplist inserts behind a shared seal
+  /// lock). Returns false, with stats().last_error() saying why, when
+  /// the WAL append failed — nothing is applied then, and the next
+  /// write goes to a fresh log — or when this write sealed the
+  /// memtable and a (possibly earlier, background) flush failed — the
+  /// write is applied, logged and readable then.
   bool WriteBatch(std::span<const WriteOp> ops);
+
+  /// One-op WriteBatch calls: insert/overwrite a key, or delete it.
+  bool Put(uint64_t key, std::string_view value);
+  bool Delete(uint64_t key);
 
   /// Point read: active memtable, then the snapshot Version (sealed
   /// memtables newest-first, L0 newest-first, then each deeper level).
@@ -443,10 +437,11 @@ class Db {
   /// shared_ptr copy); null when sampling is off.
   WorkloadSampler* sampler_ = nullptr;
 
-  // Write path. Writers take seal_mu_ shared — among themselves they
-  // are lock-free (concurrent skiplist inserts, group-committed WAL
-  // appends). Sealing takes it exclusive for the active-memtable swap
-  // and WAL rotation, which is what keeps "record in log N" and
+  // Write path. Writers (WriteBatch only) take seal_mu_ shared — among
+  // themselves they are lock-free (concurrent skiplist inserts,
+  // group-committed WAL appends). Sealing takes it exclusive for the
+  // active-memtable swap and WAL rotation, and so does replacing a log
+  // whose append failed; that is what keeps "record in log N" and
   // "entry in memtable sealed with max_log >= N" in lockstep.
   std::shared_mutex seal_mu_;
   std::shared_ptr<MemTable> active_;   // == versions_.Current()->active()

@@ -49,49 +49,30 @@ ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
     shard_options.sample_queries = options_.sample_queries;
     shards_.push_back(std::make_unique<Db>(std::move(shard_options)));
   }
-  size_t workers = options_.worker_threads > 0 ? options_.worker_threads
-                                               : options_.num_shards;
-  pool_ = std::make_unique<ThreadPool>(workers);
+  pool_ = std::make_unique<ThreadPool>(options_.num_shards);
 }
 
-bool ShardedDb::PutBatch(std::span<const KV> kvs) {
-  if (kvs.empty()) return true;
-  if (shards_.size() == 1) return shards_[0]->PutBatch(kvs);
-
-  // Partition per shard (KV views stay valid: they point into the
-  // caller's batch for the whole call).
-  std::vector<std::vector<KV>> sub(shards_.size());
-  for (const KV& kv : kvs) sub[shard_of(kv.key)].push_back(kv);
-
+bool ShardedDb::ForEachShard(const std::function<bool(size_t)>& fn) {
   std::vector<char> ok(shards_.size(), 1);
   TaskGroup group(pool_.get());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    group.Submit([this, s, &sub, &ok] {
-      ok[s] = shards_[s]->PutBatch(sub[s]) ? 1 : 0;
-    });
+    group.Submit([&fn, &ok, s] { ok[s] = fn(s) ? 1 : 0; });
   }
   group.Wait();
   return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
 }
 
-bool ShardedDb::DeleteBatch(std::span<const uint64_t> keys) {
-  if (keys.empty()) return true;
-  if (shards_.size() == 1) return shards_[0]->DeleteBatch(keys);
+bool ShardedDb::WriteBatch(std::span<const WriteOp> ops) {
+  if (ops.empty()) return true;
+  if (shards_.size() == 1) return shards_[0]->WriteBatch(ops);
 
-  std::vector<std::vector<uint64_t>> sub(shards_.size());
-  for (uint64_t key : keys) sub[shard_of(key)].push_back(key);
-
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    group.Submit([this, s, &sub, &ok] {
-      ok[s] = shards_[s]->DeleteBatch(sub[s]) ? 1 : 0;
-    });
-  }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+  // Partition per shard, keeping op order within a shard (the value
+  // views point into the caller's batch for the whole call). A shard
+  // with no ops returns true without writing.
+  std::vector<std::vector<WriteOp>> sub(shards_.size());
+  for (const WriteOp& op : ops) sub[shard_of(op.key)].push_back(op);
+  return ForEachShard(
+      [this, &sub](size_t s) { return shards_[s]->WriteBatch(sub[s]); });
 }
 
 std::vector<std::optional<std::string>> ShardedDb::MultiGet(
@@ -174,16 +155,9 @@ ShardedDb::ScanRange(std::span<const uint64_t> los,
 }
 
 bool ShardedDb::Flush() {
-  // Seal + drain every shard in parallel: each shard's Flush waits for
-  // its own background write, so running them on the pool overlaps the
-  // SST I/O.
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Submit([this, s, &ok] { ok[s] = shards_[s]->Flush() ? 1 : 0; });
-  }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+  // Each shard's Flush waits for its own background write, so running
+  // them on the pool overlaps the SST I/O.
+  return ForEachShard([this](size_t s) { return shards_[s]->Flush(); });
 }
 
 bool ShardedDb::WaitForFlush() {
@@ -198,30 +172,13 @@ bool ShardedDb::WaitForCompaction() {
   return ok;
 }
 
-bool ShardedDb::CompactAll() {
-  // Parallel like Flush: each shard's full merge is independent I/O.
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Submit([this, s, &ok] { ok[s] = shards_[s]->CompactAll() ? 1 : 0; });
-  }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
-}
-
 bool ShardedDb::CompactRange(uint64_t begin, uint64_t end) {
   // Hash routing scatters every key range over all shards, so the
   // range compacts everywhere — each shard trims it to its own files
   // via the whole-file expansion in Db::CompactRange.
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Submit([this, s, begin, end, &ok] {
-      ok[s] = shards_[s]->CompactRange(begin, end) ? 1 : 0;
-    });
-  }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+  return ForEachShard([this, begin, end](size_t s) {
+    return shards_[s]->CompactRange(begin, end);
+  });
 }
 
 LsmStats ShardedDb::TotalStats() const {

@@ -3,22 +3,25 @@
 // Keys are routed by a mixed hash of the key (Mix64 % num_shards), so
 // each shard owns a disjoint key subset and runs its own memtable,
 // seal/flush pipeline and SST set; all shards share one BlockCache and
-// one FilterPolicy. Batch reads (MultiGet/ScanRange) fan out per shard
-// on a small reusable ThreadPool and are reassembled in input order,
-// so the planned batch probes of every shard run genuinely in
-// parallel. Point Put/Get route directly with no pool hop.
+// one FilterPolicy. Batch reads (MultiGet/ScanRange) and WriteBatch
+// fan out per shard on a small reusable ThreadPool of num_shards
+// workers (reads are reassembled in input order), so the planned batch
+// probes of every shard run genuinely in parallel; Flush and
+// CompactRange fan out over every shard the same way. Point
+// Put/Delete/Get route directly with no pool hop.
 //
 // Because sharding is by hash, a key range spans all shards: ScanRange
 // sends the whole batch to every shard and merges the per-shard rows
 // (disjoint keys, so the merge is a sort) up to the limit.
 //
 // Every public method is safe from any number of client threads; the
-// per-shard Db provides snapshot reads and serialized writes.
+// per-shard Db provides snapshot reads and concurrent writes.
 
 #ifndef BLOOMRF_LSM_SHARDED_DB_H_
 #define BLOOMRF_LSM_SHARDED_DB_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -78,11 +81,6 @@ struct ShardedDbOptions {
   /// stream with its own sampler, so shard-local flushes and
   /// compactions tune from shard-local traffic.
   bool sample_queries = false;
-  /// Fan-out workers for batch APIs; 0 sizes the pool to num_shards.
-  /// Callers of MultiGet/ScanRange also steal tasks while waiting, so
-  /// even worker_threads == 0 with a 1-shard engine stays a plain
-  /// inline call.
-  size_t worker_threads = 0;
 };
 
 class ShardedDb {
@@ -105,17 +103,12 @@ class ShardedDb {
   /// Deletes a key on its shard (tombstone semantics, see Db::Delete).
   bool Delete(uint64_t key) { return shards_[shard_of(key)]->Delete(key); }
 
-  /// Batched write: entries are partitioned per shard and each shard's
-  /// sub-batch runs Db::PutBatch (one WAL record + one memtable pass
-  /// per shard) as one pool task, mirroring MultiGet's fan-out.
-  /// Atomicity-of-logging holds per shard, not across shards.
-  bool PutBatch(std::span<const KV> kvs);
-
-  /// Batched delete, fanned out per shard like PutBatch: one delete
-  /// WAL record + one memtable pass per shard, so recovery applies
-  /// each shard's sub-batch all-or-nothing (per shard, not across
-  /// shards).
-  bool DeleteBatch(std::span<const uint64_t> keys);
+  /// Batched write: ops are partitioned per shard, keeping their order
+  /// within each shard, and each shard's sub-batch runs Db::WriteBatch
+  /// (one WAL record + one memtable pass per shard) as one pool task,
+  /// mirroring MultiGet's fan-out. Recovery applies each shard's
+  /// sub-batch all-or-nothing — per shard, not across shards.
+  bool WriteBatch(std::span<const WriteOp> ops);
 
   /// Batched point read, result[i] answering keys[i]. Keys are
   /// partitioned per shard, each shard's sub-batch runs Db::MultiGet
@@ -147,14 +140,14 @@ class ShardedDb {
   /// Waits until every shard's compaction triggers are satisfied (see
   /// Db::WaitForCompaction). False if any shard's compaction failed.
   bool WaitForCompaction();
-  /// Manual full compaction of every shard (see Db::CompactAll). Works
-  /// with background compaction on or off. The adaptive filter loop's
-  /// "re-tune the whole tree now" lever.
-  bool CompactAll();
-  /// Manual compaction of [begin, end] on every shard (keys are
-  /// hash-scattered, so the range touches all shards). See
+  /// Manual compaction of [begin, end] on every shard in parallel
+  /// (keys are hash-scattered, so the range touches all shards). See
   /// Db::CompactRange for the per-shard semantics.
   bool CompactRange(uint64_t begin, uint64_t end);
+  /// CompactRange over the whole key space (see Db::CompactAll). Works
+  /// with background compaction on or off. The adaptive filter loop's
+  /// "re-tune the whole tree now" lever.
+  bool CompactAll() { return CompactRange(0, UINT64_MAX); }
 
   size_t num_shards() const { return shards_.size(); }
   Db& shard(size_t i) { return *shards_[i]; }
@@ -170,6 +163,10 @@ class ShardedDb {
   }
 
  private:
+  /// Runs `fn(s)` for every shard s as one pool task each; true iff
+  /// every call returned true.
+  bool ForEachShard(const std::function<bool(size_t)>& fn);
+
   ShardedDbOptions options_;
   std::vector<std::unique_ptr<Db>> shards_;
   std::unique_ptr<ThreadPool> pool_;

@@ -15,10 +15,10 @@
 namespace bloomrf {
 
 namespace {
-constexpr char kBatchRecord = 1;
-// Mixed put/delete batches. (Type 2 is the MANIFEST's edit record —
-// different file, but keeping the type space disjoint means a log
-// byte-stream can never be mistaken for the other kind.)
+// The one WAL record type: a batch of puts and deletes. (Type 2 is the
+// MANIFEST's edit record — different file, but keeping the type space
+// disjoint means a log byte-stream can never be mistaken for the other
+// kind.)
 constexpr char kOpsBatchRecord = 3;
 constexpr uint8_t kOpDeleteFlag = 1;
 constexpr size_t kHeaderSize = 4 + 4 + 1;  // crc, length, type
@@ -100,47 +100,26 @@ FramedReplayResult ReplayFramedFile(
   return ReplayFramedRecords(data, apply);
 }
 
-void WalEncodeRecordTo(std::span<const KV> kvs, std::string* record) {
+namespace {
+
+WriteOp AsOp(const WriteOp& op) { return op; }
+WriteOp AsOp(const KV& kv) { return {kv.key, kv.value, false}; }
+WriteOp AsOp(uint64_t key) { return {key, {}, true}; }
+
+/// The one WAL encoder: frames `items`, each read as a WriteOp, into
+/// one kOpsBatch record in a single buffer.
+template <typename T>
+void EncodeOpsBatch(std::span<const T> items, std::string* record) {
   record->clear();
-  size_t bytes = kHeaderSize + 4;
-  for (const KV& kv : kvs) bytes += 12 + kv.value.size();
-  record->reserve(bytes);
   // Header placeholder; crc and length are patched once the payload is
-  // in place, so the record is built in a single buffer.
-  record->append(8, '\0');
-  record->push_back(kBatchRecord);
-  PutFixed32(record, static_cast<uint32_t>(kvs.size()));
-  for (const KV& kv : kvs) {
-    PutFixed64(record, kv.key);
-    PutLengthPrefixed(record, kv.value);
-  }
-  uint32_t crc = Crc32c(record->data() + 8, record->size() - 8);
-  uint32_t length = static_cast<uint32_t>(record->size() - kHeaderSize);
-  char* header = record->data();
-  std::memcpy(header, &crc, 4);
-  std::memcpy(header + 4, &length, 4);
-}
-
-std::string WalEncodeRecord(std::span<const KV> kvs) {
-  std::string record;
-  WalEncodeRecordTo(kvs, &record);
-  return record;
-}
-
-void WalEncodeOpsTo(std::span<const WriteOp> ops, std::string* record) {
-  record->clear();
-  size_t bytes = kHeaderSize + 4;
-  for (const WriteOp& op : ops) {
-    bytes += 9 + (op.is_delete ? 0 : 4 + op.value.size());
-  }
-  record->reserve(bytes);
+  // in place.
   record->append(8, '\0');
   record->push_back(kOpsBatchRecord);
-  PutFixed32(record, static_cast<uint32_t>(ops.size()));
-  for (const WriteOp& op : ops) {
+  PutFixed32(record, static_cast<uint32_t>(items.size()));
+  for (const T& item : items) {
+    const WriteOp op = AsOp(item);
     PutFixed64(record, op.key);
-    record->push_back(
-        static_cast<char>(op.is_delete ? kOpDeleteFlag : 0));
+    record->push_back(static_cast<char>(op.is_delete ? kOpDeleteFlag : 0));
     if (!op.is_delete) PutLengthPrefixed(record, op.value);
   }
   uint32_t crc = Crc32c(record->data() + 8, record->size() - 8);
@@ -150,21 +129,18 @@ void WalEncodeOpsTo(std::span<const WriteOp> ops, std::string* record) {
   std::memcpy(header + 4, &length, 4);
 }
 
+}  // namespace
+
+void WalEncodeOpsTo(std::span<const WriteOp> ops, std::string* record) {
+  EncodeOpsBatch(ops, record);
+}
+
+void WalEncodeRecordTo(std::span<const KV> kvs, std::string* record) {
+  EncodeOpsBatch(kvs, record);
+}
+
 void WalEncodeDeletesTo(std::span<const uint64_t> keys, std::string* record) {
-  record->clear();
-  record->reserve(kHeaderSize + 4 + keys.size() * 9);
-  record->append(8, '\0');
-  record->push_back(kOpsBatchRecord);
-  PutFixed32(record, static_cast<uint32_t>(keys.size()));
-  for (uint64_t key : keys) {
-    PutFixed64(record, key);
-    record->push_back(static_cast<char>(kOpDeleteFlag));
-  }
-  uint32_t crc = Crc32c(record->data() + 8, record->size() - 8);
-  uint32_t length = static_cast<uint32_t>(record->size() - kHeaderSize);
-  char* header = record->data();
-  std::memcpy(header, &crc, 4);
-  std::memcpy(header + 4, &length, 4);
+  EncodeOpsBatch(keys, record);
 }
 
 WalReplayResult WalReplay(
@@ -173,9 +149,7 @@ WalReplayResult WalReplay(
   WalReplayResult result;
   FramedReplayResult framed = ReplayFramedFile(
       path, [&](char type, std::string_view payload) {
-        if (type != kBatchRecord && type != kOpsBatchRecord) {
-          return false;  // unknown type: garbage
-        }
+        if (type != kOpsBatchRecord) return false;  // unknown type
         // Validate the whole record before applying any of it: a
         // random tail can collide with the CRC, and half-applied
         // records would silently diverge from history (batch
@@ -194,18 +168,13 @@ WalReplayResult WalReplay(
         batch.reserve(count);
         size_t at = 4;
         for (uint32_t i = 0; i < count; ++i) {
-          if (at + 8 > payload.size()) return false;
+          if (at + 9 > payload.size()) return false;
           uint64_t key = DecodeFixed64(payload.data() + at);
-          at += 8;
+          uint8_t flags = static_cast<uint8_t>(payload[at + 8]);
+          at += 9;
+          if ((flags & ~kOpDeleteFlag) != 0) return false;  // garbage
+          const bool is_delete = (flags & kOpDeleteFlag) != 0;
           std::string_view value;
-          bool is_delete = false;
-          if (type == kOpsBatchRecord) {
-            if (at + 1 > payload.size()) return false;
-            uint8_t flags = static_cast<uint8_t>(payload[at]);
-            if ((flags & ~kOpDeleteFlag) != 0) return false;  // garbage
-            ++at;
-            is_delete = (flags & kOpDeleteFlag) != 0;
-          }
           if (!is_delete && !GetLengthPrefixed(payload, &at, &value)) {
             return false;
           }
@@ -320,6 +289,9 @@ bool WalWriter::WriteBytes(const char* data, size_t n) {
     const size_t page = 4096;
     size_t aligned = begin & ~(page - 1);
     if (::msync(map_ + aligned, offset_ - aligned, MS_SYNC) != 0) {
+      // The group fails, so no write in it is applied: the close-time
+      // trim drops its bytes from the log too.
+      offset_ = begin;
       return false;
     }
   }
@@ -346,8 +318,8 @@ void WalWriter::CommitGroup(std::unique_lock<std::mutex>& lock,
   if (ok) {
     committed_seq_ = batch_end;
   } else {
-    // Sticky: this file is done for. The Db surfaces the error and
-    // rotates to a fresh log at the next seal.
+    // Sticky: this file is done for. The Db applies none of the
+    // group's writes and rotates to a fresh log.
     broken_ = true;
     if (stats_ != nullptr) {
       stats_->SetLastError("wal: write failed on " + path_);

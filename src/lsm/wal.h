@@ -3,18 +3,16 @@
 //
 // Record format (little-endian):
 //   crc:fixed32  length:fixed32  type:1  payload[length]
-//   payload (type kBatch): count:fixed32 then count x
-//     { key:fixed64 value_len:fixed32 value[value_len] }
-//   payload (type kOpsBatch): count:fixed32 then count x
+//   payload (type 3, kOpsBatch): count:fixed32 then count x
 //     { key:fixed64 flags:1 [value_len:fixed32 value[value_len]] }
 //     where flags bit 0 = tombstone (deletes carry no value bytes)
-// kBatch is the pure-put record (the hot Put/PutBatch path, unchanged
-// from pre-delete logs, so old logs replay byte-identically); kOpsBatch
-// carries mixed Put/Delete batches. The CRC-32C covers type+payload,
-// so recovery distinguishes a torn tail (truncated write at crash)
-// from real data: replay stops at the first record that is short,
-// fails its checksum, or has an unknown type, and everything before it
-// is trusted.
+// kOpsBatch is the only WAL record type: every write — a Put, a
+// Delete, or a mixed WriteBatch — is one record. The CRC-32C covers
+// type+payload, so recovery distinguishes a torn tail (truncated write
+// at crash) from real data: replay stops at the first record that is
+// short, fails its checksum, or has an unknown type (type 1, the
+// retired put-only record, included), and everything before it is
+// trusted.
 //
 // Group commit: writers encode their record and, under the writer
 // mutex, either become the leader — which commits its own record
@@ -32,8 +30,8 @@
 // the dirty range.
 //
 // One WalWriter serves exactly one log file; the Db rotates to a new
-// file at every memtable seal and deletes files once their memtable's
-// flush has durably completed.
+// file at every memtable seal and after a failed append, and deletes
+// files once their memtable's flush has durably completed.
 
 #ifndef BLOOMRF_LSM_WAL_H_
 #define BLOOMRF_LSM_WAL_H_
@@ -85,31 +83,30 @@ FramedReplayResult ReplayFramedFile(
     const std::string& path,
     const std::function<bool(char, std::string_view)>& apply);
 
-/// One write-path entry: the unit of Db::Put / Db::PutBatch. The view
-/// must stay valid for the duration of the call that receives it.
+/// A put as WalEncodeRecordTo takes it; the view must stay valid for
+/// the call that receives it.
 struct KV {
   uint64_t key = 0;
   std::string_view value;
 };
 
-/// One generalized write-path operation: a put or a delete. The value
-/// view must stay valid for the call that receives it (and is ignored
-/// for deletes).
+/// One write-path operation, the unit of Db::WriteBatch: a put or a
+/// delete. The value view must stay valid for the call that receives
+/// it (and is ignored for deletes).
 struct WriteOp {
   uint64_t key = 0;
   std::string_view value;
   bool is_delete = false;
 };
 
-/// Encodes one CRC-framed kBatch record covering all of `kvs`.
-std::string WalEncodeRecord(std::span<const KV> kvs);
-/// Same, into a caller-owned buffer (cleared first) — the hot write
-/// path reuses a thread_local string to avoid an allocation per Put.
-void WalEncodeRecordTo(std::span<const KV> kvs, std::string* record);
-/// Encodes one CRC-framed kOpsBatch record covering all of `ops`
-/// (mixed puts and deletes), into a caller-owned buffer.
+/// Encodes one CRC-framed kOpsBatch record covering all of `ops`, in
+/// order, into a caller-owned buffer (cleared first) — the write path
+/// reuses a thread_local string to avoid an allocation per write.
 void WalEncodeOpsTo(std::span<const WriteOp> ops, std::string* record);
-/// Encodes one CRC-framed kOpsBatch record of pure deletes.
+/// The same record for pure puts and for pure deletes: both run the
+/// one encoder, so their bytes equal WalEncodeOpsTo's for the matching
+/// ops.
+void WalEncodeRecordTo(std::span<const KV> kvs, std::string* record);
 void WalEncodeDeletesTo(std::span<const uint64_t> keys, std::string* record);
 
 struct WalReplayResult {
@@ -142,14 +139,15 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// True when the log file could not be opened; every Append fails.
+  /// True once the log file could not be opened or an append failed;
+  /// every later Append fails.
   bool broken() const;
 
   /// Appends one encoded record through the group-commit protocol.
   /// Blocks until the record's group has been written (and synced when
   /// fsync_on_commit). Returns false when the write failed — the error
-  /// is sticky for the writer's remaining lifetime (the Db rotates to
-  /// a fresh file on the next seal).
+  /// is sticky for the writer's remaining lifetime (the Db applies
+  /// nothing from a failed append and rotates to a fresh file).
   bool Append(std::string_view record);
 
   /// Forces any OS-buffered bytes down (no-op when fsync_on_commit).

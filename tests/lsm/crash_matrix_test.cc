@@ -33,9 +33,12 @@
 
 #include "lsm/db.h"
 #include "lsm/env.h"
+#include "tests/test_util.h"
 
 namespace bloomrf {
 namespace {
+
+using ::bloomrf::testing::DeleteOps;
 
 /// Every key the workload ever touches lives in [0, kKeySpace): the
 /// verifier can sweep the whole space and demand Get/MultiGet misses
@@ -116,14 +119,15 @@ class CrashMatrixTest : public ::testing::Test {
   }
 
   /// The fixed workload: four rounds over one overlapping keyspace,
-  /// each round putting, deleting (singly, as a DeleteBatch, and mixed
-  /// into a WriteBatch), and re-putting some of what it just deleted,
-  /// then sealing into an SST with compaction churning the tree
-  /// between rounds. Because rounds overlap, a key deleted in round r
-  /// usually has live versions in older SSTs — the exact data a buggy
-  /// recovery or compaction would resurrect. Failure returns are
-  /// deliberately ignored — after the kill point everything fails, but
-  /// every acknowledged write still reached the WAL+memtable.
+  /// each round putting, deleting (singly, as a delete-only WriteBatch,
+  /// and mixed with puts in a WriteBatch), and re-putting some of what
+  /// it just deleted, then sealing into an SST with compaction
+  /// churning the tree between rounds. Because rounds overlap, a key
+  /// deleted in round r usually has live versions in older SSTs — the
+  /// exact data a buggy recovery or compaction would resurrect.
+  /// Failure returns are deliberately ignored — after the kill point
+  /// everything fails, but every acknowledged write still reached the
+  /// WAL+memtable.
   static void RunWorkload(const std::string& dir, Env* env,
                           std::map<uint64_t, std::string>* expected,
                           PolicyFactory policy = BloomFactory,
@@ -149,7 +153,7 @@ class CrashMatrixTest : public ::testing::Test {
       for (uint64_t i = 0; i < 6; ++i) {
         batch.push_back((i * 17 + round * 13) % kKeySpace);
       }
-      db.DeleteBatch(batch);
+      db.WriteBatch(DeleteOps(batch));
       for (uint64_t key : batch) expected->erase(key);
       // A mixed batch: puts and deletes framed as ONE record.
       std::vector<std::string> held;  // keeps WriteOp views alive

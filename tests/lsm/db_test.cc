@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "tests/test_util.h"
 #include "util/coding.h"
@@ -185,13 +186,15 @@ TEST_F(DbTest, FlushStatsAccumulate) {
 
 TEST_F(DbTest, FlushFailureKeepsDataQueryable) {
   // Failure injection: an unwritable directory makes every flush fail;
-  // the memtable must keep serving all data (no silent loss).
+  // the memtable must keep serving all data (no silent loss). The WAL
+  // lives in a writable directory, so only the flushes fail.
   DbOptions options;
   options.dir = "/proc/definitely/not/writable/db";
+  options.wal_dir = dir_;
   options.filter_policy = NewBloomPolicy(10.0);
   options.memtable_bytes = 1 << 20;
   Db db(options);
-  for (uint64_t k = 0; k < 500; ++k) db.Put(k, "payload");
+  for (uint64_t k = 0; k < 500; ++k) ASSERT_TRUE(db.Put(k, "payload")) << k;
   EXPECT_FALSE(db.Flush());
   EXPECT_EQ(db.num_tables(), 0u);
   std::string value;
@@ -201,6 +204,82 @@ TEST_F(DbTest, FlushFailureKeepsDataQueryable) {
   }
   auto rows = db.RangeScan(0, 499);
   EXPECT_EQ(rows.size(), 500u);
+}
+
+TEST_F(DbTest, FailedWalAppendAppliesNothing) {
+  // A write whose log append failed is not applied: its caller hears
+  // false, no reader sees it, and replay cannot bring it back. The
+  // broken log is replaced at once, so the next write succeeds without
+  // waiting for a seal, and the writes around the failure replay from
+  // both logs.
+  FaultInjectionEnv fenv;
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewBloomPolicy(10.0);
+  options.env = &fenv;
+  {
+    Db db(options);
+    ASSERT_TRUE(db.Put(1, "one"));
+    fenv.FailOnce("wal.append");
+    EXPECT_FALSE(db.Put(2, "two"));
+    std::string value;
+    EXPECT_FALSE(db.Get(2, &value));
+    EXPECT_NE(db.stats().last_error().find("wal"), std::string::npos)
+        << db.stats().last_error();
+    EXPECT_TRUE(db.Put(3, "three"));
+    EXPECT_TRUE(db.Delete(1));
+    EXPECT_FALSE(db.Get(1, &value));
+  }
+  options.env = nullptr;
+  Db db(options);
+  std::string value;
+  EXPECT_FALSE(db.Get(1, &value));
+  EXPECT_FALSE(db.Get(2, &value));
+  ASSERT_TRUE(db.Get(3, &value));
+  EXPECT_EQ(value, "three");
+}
+
+TEST_F(DbTest, FailedAppendsUnderConcurrentWritersApplyNothing) {
+  // The same rule with writers racing on one log while some of its
+  // appends fail: failed writers replace the log under writers still
+  // running, seals rotate it too, and a key is readable exactly when
+  // its Put returned true — before and after a reopen.
+  FaultInjectionEnv fenv;
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewBloomPolicy(10.0);
+  options.memtable_bytes = 32 << 10;
+  options.env = &fenv;
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kPerThread = 400;
+  std::vector<char> ok(kThreads * kPerThread, 0);
+  auto check = [&](Db& db) {
+    std::string value;
+    uint64_t failed = 0;
+    for (uint64_t k = 0; k < ok.size(); ++k) {
+      ASSERT_EQ(db.Get(k, &value), ok[k] != 0) << "key " << k;
+      failed += ok[k] == 0 ? 1 : 0;
+    }
+    EXPECT_GT(failed, 0u);
+  };
+  {
+    Db db(options);
+    std::vector<std::thread> writers;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          if (t == 0 && i % 40 == 0) fenv.FailOnce("wal.append");
+          const uint64_t key = t * kPerThread + i;
+          ok[key] = db.Put(key, std::string(64, 'v')) ? 1 : 0;
+        }
+      });
+    }
+    for (auto& writer : writers) writer.join();
+    check(db);
+  }
+  options.env = nullptr;
+  Db db(options);
+  check(db);
 }
 
 TEST_F(DbTest, FailedFlushRetriesInSealOrder) {

@@ -13,9 +13,12 @@
 #include "lsm/db.h"
 #include "lsm/table_builder.h"
 #include "lsm/table_reader.h"
+#include "tests/test_util.h"
 
 namespace bloomrf {
 namespace {
+
+using ::bloomrf::testing::DeleteOps;
 
 class DeleteTest : public ::testing::Test {
  protected:
@@ -96,7 +99,6 @@ TEST_F(DeleteTest, WriteBatchAppliesOpsInOrder) {
   EXPECT_EQ(value, "end");
   // Empty batches are a no-op success.
   EXPECT_TRUE(db.WriteBatch({}));
-  EXPECT_TRUE(db.DeleteBatch({}));
 }
 
 TEST_F(DeleteTest, TombstonedKeysStayInTheFilter) {
@@ -235,7 +237,7 @@ TEST_F(DeleteTest, StatsTrackTombstoneLifecycle) {
   for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(db.Put(k, "v"));
   ASSERT_TRUE(db.Flush());
   std::vector<uint64_t> doomed = {3, 5, 8};
-  ASSERT_TRUE(db.DeleteBatch(doomed));
+  ASSERT_TRUE(db.WriteBatch(DeleteOps(doomed)));
   ASSERT_TRUE(db.Flush());
   EXPECT_EQ(db.stats().tombstones_written.load(), 3u);
   EXPECT_EQ(db.stats().tombstones_live.load(), 3u);

@@ -289,8 +289,10 @@ TEST_F(ManifestTest, GarbageTailAndForeignRecordsAreRejected) {
   // manifest) is corruption too, even though its CRC is valid.
   WriteFile(path, ReadFile(path).substr(
       0, ReadFile(path).size() - garbage.size()));
-  KV kv{1, "x"};
-  AppendRaw(path, WalEncodeRecord({&kv, 1}));
+  const KV kv{1, "x"};
+  std::string wal_record;
+  WalEncodeRecordTo({&kv, 1}, &wal_record);
+  AppendRaw(path, wal_record);
   ManifestReplay(path, &state);
   EXPECT_FALSE(state.clean);
   EXPECT_EQ(state.edits, 1u);

@@ -13,10 +13,13 @@
 
 #include "lsm/db.h"
 #include "lsm/sharded_db.h"
+#include "tests/test_util.h"
 #include "workload/key_generator.h"
 
 namespace bloomrf {
 namespace {
+
+using ::bloomrf::testing::DeleteOps;
 
 class RecoveryTest : public ::testing::TestWithParam<bool> {
  protected:
@@ -118,9 +121,9 @@ TEST_P(RecoveryTest, BatchIsAllOrNothingInRecovery) {
   {
     Db db(Options());
     ASSERT_TRUE(db.Put(1, "single"));
-    std::vector<KV> batch;
+    std::vector<WriteOp> batch;
     for (uint64_t k = 100; k < 110; ++k) batch.push_back({k, "batched"});
-    ASSERT_TRUE(db.PutBatch(batch));
+    ASSERT_TRUE(db.WriteBatch(batch));
   }
   auto files = WalFiles();
   ASSERT_EQ(files.size(), 1u);
@@ -209,7 +212,7 @@ TEST_P(RecoveryTest, DeleteBatchSurvivesKillReopenIntact) {
     for (uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(db.Put(k, "v"));
     std::vector<uint64_t> doomed;
     for (uint64_t k = 0; k < 64; k += 4) doomed.push_back(k);
-    ASSERT_TRUE(db.DeleteBatch(doomed));
+    ASSERT_TRUE(db.WriteBatch(DeleteOps(doomed)));
   }
   Db db(Options());
   std::string value;
@@ -373,14 +376,14 @@ TEST_P(RecoveryTest, ShardedPutBatchRecoversPerShard) {
   options.background_flush = GetParam();
   {
     ShardedDb db(options);
-    std::vector<KV> batch;
+    std::vector<WriteOp> batch;
     std::vector<std::string> values;
     values.reserve(256);
     for (uint64_t k = 0; k < 256; ++k) {
       values.push_back(MakeValue(k, 20));
       batch.push_back({k, values.back()});
     }
-    ASSERT_TRUE(db.PutBatch(batch));
+    ASSERT_TRUE(db.WriteBatch(batch));
     std::string value;
     for (uint64_t k = 0; k < 256; ++k) ASSERT_TRUE(db.Get(k, &value));
   }

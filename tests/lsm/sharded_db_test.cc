@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -151,6 +153,67 @@ TEST_F(ShardedDbTest, NewestValueWinsAcrossFlushes) {
   auto rows = db.RangeScan(0, 10);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].second, "new");
+}
+
+TEST_F(ShardedDbTest, WriteBatchAppliesPutsAndDeletesOnEveryShard) {
+  ShardedDb db = MakeDb(NewBloomRFPolicy(18.0, 1e6), 4);
+  std::map<uint64_t, std::string> expected;
+  for (uint64_t k = 0; k < 200; ++k) {
+    ASSERT_TRUE(db.Put(k, "flushed" + std::to_string(k)));
+    expected[k] = "flushed" + std::to_string(k);
+  }
+  ASSERT_TRUE(db.Flush());
+
+  // One mixed batch, in op order: new keys put and then deleted (the
+  // delete wins), deletes of flushed keys, and re-puts of some of those
+  // after their delete (the re-put wins).
+  std::deque<std::string> held;  // keeps the WriteOp views alive
+  std::vector<WriteOp> ops;
+  std::set<size_t> put_shards, delete_shards;
+  auto put = [&](uint64_t key, std::string value) {
+    held.push_back(std::move(value));
+    ops.push_back({key, held.back(), false});
+    expected[key] = held.back();
+    put_shards.insert(db.shard_of(key));
+  };
+  auto del = [&](uint64_t key) {
+    ops.push_back({key, {}, true});
+    expected.erase(key);
+    delete_shards.insert(db.shard_of(key));
+  };
+  for (uint64_t k = 1000; k < 1040; ++k) {
+    put(k, "transient");
+    del(k);
+  }
+  for (uint64_t k = 0; k < 200; k += 5) del(k);
+  for (uint64_t k = 0; k < 200; k += 10) put(k, "reput" + std::to_string(k));
+  ASSERT_EQ(put_shards.size(), 4u);
+  ASSERT_EQ(delete_shards.size(), 4u);
+  ASSERT_TRUE(db.WriteBatch(ops));
+
+  auto check = [&](const char* when) {
+    std::vector<uint64_t> probe;
+    for (uint64_t k = 0; k < 1100; ++k) probe.push_back(k);
+    auto answers = db.MultiGet(probe);
+    ASSERT_EQ(answers.size(), probe.size());
+    std::string value;
+    for (size_t i = 0; i < probe.size(); ++i) {
+      auto it = expected.find(probe[i]);
+      const bool live = it != expected.end();
+      ASSERT_EQ(db.Get(probe[i], &value), live) << when << ", key " << probe[i];
+      ASSERT_EQ(answers[i].has_value(), live) << when << ", key " << probe[i];
+      if (live) {
+        EXPECT_EQ(value, it->second) << when;
+        EXPECT_EQ(*answers[i], it->second) << when;
+      }
+    }
+    const std::vector<std::pair<uint64_t, std::string>> want(expected.begin(),
+                                                             expected.end());
+    EXPECT_EQ(db.RangeScan(0, UINT64_MAX, 4096), want) << when;
+  };
+  check("before Flush");
+  ASSERT_TRUE(db.Flush());
+  check("after Flush");
 }
 
 TEST_F(ShardedDbTest, SharedBlockCacheAndStatsRollUp) {

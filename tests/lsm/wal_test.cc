@@ -11,10 +11,21 @@
 #include <vector>
 
 #include "lsm/table_reader.h"  // LsmStats
+#include "tests/test_util.h"
 #include "util/random.h"
 
 namespace bloomrf {
 namespace {
+
+using ::bloomrf::testing::DeleteOps;
+
+/// One put record, built by the put entry point of the one encoder.
+std::string PutRecord(uint64_t key, std::string_view value) {
+  const KV kv{key, value};
+  std::string record;
+  WalEncodeRecordTo({&kv, 1}, &record);
+  return record;
+}
 
 class WalTest : public ::testing::Test {
  protected:
@@ -72,8 +83,7 @@ TEST_F(WalTest, RoundTripSingleRecords) {
     ASSERT_FALSE(writer.broken());
     for (uint64_t k = 0; k < 100; ++k) {
       std::string value = "value-" + std::to_string(k);
-      KV kv{k, value};
-      ASSERT_TRUE(writer.Append(WalEncodeRecord({&kv, 1})));
+      ASSERT_TRUE(writer.Append(PutRecord(k, value)));
     }
     ASSERT_TRUE(writer.Sync());
   }
@@ -94,7 +104,15 @@ TEST_F(WalTest, RoundTripBatchRecordIncludingEmptyValues) {
       {7, "seven"}, {8, ""}, {9, std::string_view("\0\xff\0", 3)}};
   {
     WalWriter writer(path_, false, nullptr);
-    ASSERT_TRUE(writer.Append(WalEncodeRecord(batch)));
+    std::string record;
+    WalEncodeRecordTo(batch, &record);
+    ASSERT_TRUE(writer.Append(record));
+    // The put entry point writes the engine's bytes for the same ops.
+    std::vector<WriteOp> ops;
+    for (const KV& kv : batch) ops.push_back({kv.key, kv.value, false});
+    std::string ops_record;
+    WalEncodeOpsTo(ops, &ops_record);
+    EXPECT_EQ(record, ops_record);
   }
   WalReplayResult result;
   auto entries = Replay(&result);
@@ -137,6 +155,9 @@ TEST_F(WalTest, RoundTripPureDeleteRecord) {
     std::string record;
     WalEncodeDeletesTo(keys, &record);
     ASSERT_TRUE(writer.Append(record));
+    std::string ops_record;
+    WalEncodeOpsTo(DeleteOps(keys), &ops_record);
+    EXPECT_EQ(record, ops_record);
   }
   WalReplayResult result;
   auto replayed = ReplayOps(&result);
@@ -222,6 +243,27 @@ TEST_F(WalTest, ImpossibleEntryCountStopsReplay) {
   EXPECT_TRUE(replayed.empty());
 }
 
+TEST_F(WalTest, RetiredPutRecordTypeStopsReplay) {
+  // A CRC-valid record of the retired put-only type 1 ({key, vlen,
+  // value} per entry, no flags byte) is an unknown type now: replay
+  // applies none of it and stops there, so the intact ops record
+  // behind it is not replayed either.
+  std::string payload;
+  payload.append("\x01\x00\x00\x00", 4);                  // count = 1
+  payload.append("\x2a\x00\x00\x00\x00\x00\x00\x00", 8);  // key = 42
+  payload.append("\x01\x00\x00\x00", 4);                  // value_len = 1
+  payload.push_back('x');
+  std::string record;
+  AppendFramedRecord(/*type=*/1, payload, &record);
+  AppendRaw(record);
+  AppendRaw(PutRecord(7, "after"));
+  WalReplayResult result;
+  auto replayed = ReplayOps(&result);
+  EXPECT_FALSE(result.clean);
+  EXPECT_EQ(result.records, 0u);
+  EXPECT_TRUE(replayed.empty());
+}
+
 TEST_F(WalTest, MissingFileRepliesCleanEmpty) {
   WalReplayResult result;
   auto entries = Replay(&result);
@@ -234,8 +276,7 @@ TEST_F(WalTest, TruncatedTailKeepsPrefix) {
   {
     WalWriter writer(path_, false, nullptr);
     for (uint64_t k = 0; k < 10; ++k) {
-      KV kv{k, "0123456789abcdef"};
-      ASSERT_TRUE(writer.Append(WalEncodeRecord({&kv, 1})));
+      ASSERT_TRUE(writer.Append(PutRecord(k, "0123456789abcdef")));
     }
   }
   const uint64_t full = std::filesystem::file_size(path_);
@@ -257,8 +298,7 @@ TEST_F(WalTest, EveryTruncationPointIsSafe) {
     WalWriter writer(path_, false, nullptr);
     for (uint64_t k = 0; k < 4; ++k) {
       std::string value(7, static_cast<char>('a' + k));
-      KV kv{k, value};
-      ASSERT_TRUE(writer.Append(WalEncodeRecord({&kv, 1})));
+      ASSERT_TRUE(writer.Append(PutRecord(k, value)));
     }
   }
   const uint64_t full = std::filesystem::file_size(path_);
@@ -288,8 +328,7 @@ TEST_F(WalTest, CorruptByteStopsAtBadRecord) {
   {
     WalWriter writer(path_, false, nullptr);
     for (uint64_t k = 0; k < 5; ++k) {
-      KV kv{k, "payload-payload"};
-      ASSERT_TRUE(writer.Append(WalEncodeRecord({&kv, 1})));
+      ASSERT_TRUE(writer.Append(PutRecord(k, "payload-payload")));
     }
   }
   // Flip one payload byte inside the 4th record.
@@ -313,8 +352,7 @@ TEST_F(WalTest, CorruptByteStopsAtBadRecord) {
 TEST_F(WalTest, GarbageTailIsRejected) {
   {
     WalWriter writer(path_, false, nullptr);
-    KV kv{1, "real"};
-    ASSERT_TRUE(writer.Append(WalEncodeRecord({&kv, 1})));
+    ASSERT_TRUE(writer.Append(PutRecord(1, "real")));
   }
   Rng rng(404);
   std::string garbage(256, '\0');
@@ -333,7 +371,7 @@ TEST_F(WalTest, HugeLengthHeaderDoesNotAllocate) {
   std::string header;
   header.append("\x00\x00\x00\x00", 4);      // crc (wrong, unchecked first)
   header.append("\xff\xff\xff\x7f", 4);      // length ~2GB
-  header.push_back(1);                       // valid type
+  header.push_back(3);                       // valid type
   AppendRaw(header);
   WalReplayResult result;
   auto entries = Replay(&result);
@@ -345,8 +383,7 @@ TEST_F(WalTest, BrokenDirectoryFailsAppendAndSetsLastError) {
   LsmStats stats;
   WalWriter writer("/proc/definitely/not/writable/wal-1.log", false, &stats);
   EXPECT_TRUE(writer.broken());
-  KV kv{1, "x"};
-  EXPECT_FALSE(writer.Append(WalEncodeRecord({&kv, 1})));
+  EXPECT_FALSE(writer.Append(PutRecord(1, "x")));
   EXPECT_NE(stats.last_error().find("wal"), std::string::npos);
 }
 
@@ -362,8 +399,7 @@ TEST_F(WalTest, GroupCommitBatchesConcurrentAppends) {
         for (int i = 0; i < kPerThread; ++i) {
           uint64_t key = static_cast<uint64_t>(t) * kPerThread + i;
           std::string value = "v" + std::to_string(key);
-          KV kv{key, value};
-          ASSERT_TRUE(writer.Append(WalEncodeRecord({&kv, 1})));
+          ASSERT_TRUE(writer.Append(PutRecord(key, value)));
         }
       });
     }
