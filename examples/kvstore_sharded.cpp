@@ -3,7 +3,8 @@
 // shards (one memtable + seal/background-flush pipeline + SST set
 // each) sharing one block cache and filter policy; several client
 // threads Put/Get/MultiGet/ScanRange at once, then the per-shard and
-// aggregate cache-hit and filter stats are printed.
+// aggregate cache-hit and filter-probe stats and the measured filter
+// outcomes per backend are printed.
 //
 //   $ ./examples/kvstore_sharded                      # bloomRF, 4 shards
 //   $ ./examples/kvstore_sharded --filter=rosetta --shards=8 --clients=8
@@ -240,23 +241,36 @@ int main(int argc, char** argv) {
   // Filter outcome accounting: of the probes the filters let through,
   // how many actually found data? A false positive is a probe the
   // filter allowed but the data blocks rejected — the wasted I/O the
-  // filter exists to prevent, split per level because deep levels
-  // field most of the probes in a leveled tree.
-  std::printf("filter outcomes by level (allowed-but-empty vs excluded):\n");
-  for (size_t l = 0; l < LsmStats::kStatsLevels; ++l) {
-    uint64_t fp = total.filter_false_positives[l].load();
-    uint64_t tn = total.filter_true_negatives[l].load();
-    if (fp + tn == 0) continue;
-    std::printf("  L%zu%s false positives=%-9llu true negatives=%-9llu "
-                "measured fpr %.4f\n",
-                l, l + 1 == LsmStats::kStatsLevels ? "+" : " ",
-                static_cast<unsigned long long>(fp),
-                static_cast<unsigned long long>(tn),
-                static_cast<double>(fp) / static_cast<double>(fp + tn));
+  // filter exists to prevent. Each table counts its own outcomes, and
+  // CollectFilterFeedback sums a shard's live tables per backend: the
+  // measured FPR the adaptive planner feeds back into backend choice.
+  FilterFeedback outcomes;
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    for (const BackendObservation& b :
+         db.shard(s).CollectFilterFeedback().backends) {
+      BackendObservation* sum = outcomes.FindOrAdd(b.backend);
+      sum->point_false += b.point_false;
+      sum->point_negatives += b.point_negatives;
+      sum->range_false += b.range_false;
+      sum->range_negatives += b.range_negatives;
+    }
   }
-  std::printf("  overall measured fpr %.4f (the planner feeds this back "
-              "into backend choice)\n",
-              total.measured_fpr());
+  auto fpr = [](uint64_t fp, uint64_t tn) {
+    return fp + tn > 0 ? static_cast<double>(fp) / static_cast<double>(fp + tn)
+                       : 0.0;
+  };
+  std::printf("filter outcomes by backend (allowed-but-empty vs excluded):\n");
+  for (const BackendObservation& b : outcomes.backends) {
+    std::printf("  %-10s point fp=%-8llu tn=%-9llu fpr %.4f   range "
+                "fp=%-8llu tn=%-9llu fpr %.4f\n",
+                b.backend.c_str(),
+                static_cast<unsigned long long>(b.point_false),
+                static_cast<unsigned long long>(b.point_negatives),
+                fpr(b.point_false, b.point_negatives),
+                static_cast<unsigned long long>(b.range_false),
+                static_cast<unsigned long long>(b.range_negatives),
+                fpr(b.range_false, b.range_negatives));
+  }
 
   std::filesystem::remove_all(dir);
   return 0;

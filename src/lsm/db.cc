@@ -191,7 +191,6 @@ std::vector<Version::TableList> Db::OpenTablesFromManifest(
         QuarantineTable(path);
         continue;
       }
-      reader->set_level(static_cast<uint32_t>(level));
       levels[level].push_back(std::move(reader));
       ++recovery_stats_.tables_loaded;
     }
@@ -517,16 +516,14 @@ std::shared_ptr<const TableReader> Db::WriteSst(const MemTable& mem,
     stats_.SetLastError("flush: cannot write " + path);
     return nullptr;
   }
-  std::unique_ptr<TableReader> opened =
+  std::shared_ptr<const TableReader> reader =
       TableReader::Open(path, options_.filter_policy.get(), &stats_,
                         options_.block_cache, file_number);
-  if (opened == nullptr) {
+  if (reader == nullptr) {
     stats_.SetLastError("flush: cannot reopen " + path);
     env_->DeleteFile(path);
     return nullptr;
   }
-  opened->set_level(0);  // flush outputs land at L0
-  std::shared_ptr<const TableReader> reader = std::move(opened);
   meta->file_number = file_number;
   meta->smallest = reader->min_key();
   meta->largest = reader->max_key();
@@ -699,7 +696,6 @@ void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
       result->error = "compact: cannot reopen " + path;
       return false;
     }
-    reader->set_level(static_cast<uint32_t>(job.output_level));
     FileMeta meta;
     meta.file_number = file_number;
     meta.smallest = reader->min_key();
@@ -1204,7 +1200,7 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
     size_t rank = 1 + sealed.size();
     for (size_t t = 0; t < tables.size(); ++t) {
       if (may_match[t * n + i]) {
-        tables[t]->AccountRangeOutcome(merged.SourceInRange(rank++), &stats_);
+        tables[t]->AccountRangeOutcome(merged.SourceInRange(rank++));
       }
     }
     auto& out = results[i];

@@ -10,8 +10,9 @@
 //    byte budget) that keeps read amplification bounded;
 //  - one full filter block per SST, built through a pluggable
 //    FilterPolicy extended with range information (RangeMayMatch);
-//  - probe-cost accounting (filter time, I/O wait, deserialization)
-//    for the Fig. 12.G breakdown.
+//  - probe counts per Db (stats()) and filter outcomes per table,
+//    summed per backend (CollectFilterFeedback) — the measured FPR the
+//    adaptive planner reads.
 //
 // Threading model (see README "Write path & durability"):
 //  - Get/MultiGet/RangeScan/ScanRange/RangeMayMatch are safe from any
@@ -316,6 +317,8 @@ class Db {
   FilterFeedback CollectFilterFeedback() const;
 
   const LsmStats& stats() const { return stats_; }
+  /// Zeroes the counters and last_error; the gauges (tombstones_live,
+  /// compactions_inflight) keep describing the live store.
   void ResetStats() { stats_.Reset(); }
   /// Snapshot of flush-side counters. Exact after Flush()/
   /// WaitForFlush(); may lag mid-flight flushes otherwise.

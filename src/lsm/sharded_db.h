@@ -153,8 +153,9 @@ class ShardedDb {
   Db& shard(size_t i) { return *shards_[i]; }
   const Db& shard(size_t i) const { return *shards_[i]; }
 
-  /// Sum of all shards' probe-cost counters.
+  /// Sum of all shards' counters and gauges.
   LsmStats TotalStats() const;
+  /// Db::ResetStats on every shard.
   void ResetStats();
   size_t num_tables() const;
   uint64_t filter_memory_bits() const;

@@ -10,7 +10,6 @@
 #include "lsm/table_builder.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
-#include "util/timer.h"
 
 namespace bloomrf {
 
@@ -50,7 +49,7 @@ TableReader::~TableReader() {
 }
 
 std::unique_ptr<TableReader> TableReader::Open(
-    const std::string& path, const FilterPolicy* policy, LsmStats* stats,
+    const std::string& path, const FilterPolicy* policy, LsmStats* /*stats*/,
     std::shared_ptr<BlockCache> cache, uint64_t file_number) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return nullptr;
@@ -119,13 +118,7 @@ std::unique_ptr<TableReader> TableReader::Open(
     if (Crc32c(filter_data) != filter_crc) return nullptr;
     // The block is registry-framed; a corrupt or unknown block loads as
     // null and the table falls back to scanning.
-    if (stats != nullptr) {
-      Timer timer;
-      reader->filter_ = policy->LoadFilter(filter_data);
-      stats->deser_nanos += timer.ElapsedNanos();
-    } else {
-      reader->filter_ = policy->LoadFilter(filter_data);
-    }
+    reader->filter_ = policy->LoadFilter(filter_data);
     if (reader->filter_ != nullptr) {
       // Remember which backend the block carries: measured FP/TN
       // outcomes are aggregated per backend for the filter planner.
@@ -151,15 +144,10 @@ bool TableReader::ReadBlockAt(size_t index_pos, std::string* buffer,
   const IndexEntry& entry = index_[index_pos];
   // Blocks carry a trailing CRC-32C: read payload+4, verify, trim.
   const uint64_t physical = entry.size + 4;
-  bool ok;
+  const bool ok = ReadFileAt(entry.offset, physical, buffer);
   if (stats != nullptr) {
-    Timer timer;
-    ok = ReadFileAt(entry.offset, physical, buffer);
-    stats->io_nanos += timer.ElapsedNanos();
     ++stats->blocks_read;
     stats->bytes_read += physical;
-  } else {
-    ok = ReadFileAt(entry.offset, physical, buffer);
   }
   if (ok) {
     uint32_t expected = DecodeFixed32(buffer->data() + entry.size);
@@ -216,23 +204,15 @@ Lookup TableReader::Find(uint64_t key, std::string* value,
                          LsmStats* stats) const {
   const bool filtered = filter_ != nullptr;
   if (filtered) {
-    bool may_match;
+    const bool may_match = filter_->MayContain(key);
     if (stats != nullptr) {
-      Timer timer;
-      may_match = filter_->MayContain(key);
-      stats->filter_probe_nanos += timer.ElapsedNanos();
       ++stats->filter_probes;
       if (!may_match) ++stats->filter_negatives;
-    } else {
-      may_match = filter_->MayContain(key);
     }
     if (!may_match) {
       // Filters have no false negatives: a rejection is a definite
       // true negative.
       pt_neg_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) {
-        ++stats->filter_true_negatives[LsmStats::StatsLevel(level_)];
-      }
       return Lookup::kMiss;
     }
     pt_allowed_.fetch_add(1, std::memory_order_relaxed);
@@ -243,11 +223,7 @@ Lookup TableReader::Find(uint64_t key, std::string* value,
   // tombstone hit is a CONFIRMED answer (the key is in the table),
   // never a false positive.
   auto false_positive = [&] {
-    if (!filtered) return;
-    pt_false_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      ++stats->filter_false_positives[LsmStats::StatsLevel(level_)];
-    }
+    if (filtered) pt_false_.fetch_add(1, std::memory_order_relaxed);
   };
   int64_t block_idx = FindBlock(key);
   if (block_idx < 0) {
@@ -289,30 +265,21 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
     probe_keys.reserve(pending.size());
     for (uint32_t i : pending) probe_keys.push_back(keys[i]);
     auto may = std::make_unique<bool[]>(pending.size());
-    bool* may_out = may.get();
-    if (stats != nullptr) {
-      Timer timer;
-      filter_->MayContainBatch(probe_keys, may_out);
-      stats->filter_probe_nanos += timer.ElapsedNanos();
-      stats->filter_probes += pending.size();
-    } else {
-      filter_->MayContainBatch(probe_keys, may_out);
-    }
+    filter_->MayContainBatch(probe_keys, may.get());
     by_block.reserve(pending.size());
     for (size_t j = 0; j < pending.size(); ++j) {
-      if (!may_out[j]) {
-        if (stats != nullptr) {
-          ++stats->filter_negatives;
-          ++stats->filter_true_negatives[LsmStats::StatsLevel(level_)];
-        }
-        continue;
-      }
+      if (!may[j]) continue;
       ++allowed;
       int64_t b = FindBlock(keys[pending[j]]);
       if (b >= 0) by_block.emplace_back(b, pending[j]);
     }
-    pt_neg_.fetch_add(pending.size() - allowed, std::memory_order_relaxed);
+    const size_t negatives = pending.size() - allowed;
+    pt_neg_.fetch_add(negatives, std::memory_order_relaxed);
     pt_allowed_.fetch_add(allowed, std::memory_order_relaxed);
+    if (stats != nullptr) {
+      stats->filter_probes += pending.size();
+      stats->filter_negatives += negatives;
+    }
   } else {
     by_block.reserve(pending.size());
     for (uint32_t i : pending) {
@@ -349,11 +316,7 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
     // Every allowed probe the data blocks did not confirm was a false
     // positive (conservatively including the rare unreadable block).
     // Tombstone hits confirm the filter — the key IS in the table.
-    const uint64_t fp = allowed - resolved;
-    pt_false_.fetch_add(fp, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      stats->filter_false_positives[LsmStats::StatsLevel(level_)] += fp;
-    }
+    pt_false_.fetch_add(allowed - resolved, std::memory_order_relaxed);
   }
   return resolved;
 }
@@ -366,14 +329,7 @@ void TableReader::RangeMultiProbe(std::span<const uint64_t> los,
     std::fill(may_match, may_match + los.size(), true);
     return;
   }
-  if (stats != nullptr) {
-    Timer timer;
-    filter_->MayContainRangeBatch(los, his, may_match);
-    stats->filter_probe_nanos += timer.ElapsedNanos();
-    stats->filter_probes += los.size();
-  } else {
-    filter_->MayContainRangeBatch(los, his, may_match);
-  }
+  filter_->MayContainRangeBatch(los, his, may_match);
   size_t negatives = 0;
   for (size_t i = 0; i < los.size(); ++i) {
     if (!may_match[i]) ++negatives;
@@ -381,16 +337,14 @@ void TableReader::RangeMultiProbe(std::span<const uint64_t> los,
   rg_neg_.fetch_add(negatives, std::memory_order_relaxed);
   rg_allowed_.fetch_add(los.size() - negatives, std::memory_order_relaxed);
   if (stats != nullptr) {
+    stats->filter_probes += los.size();
     stats->filter_negatives += negatives;
-    stats->filter_true_negatives[LsmStats::StatsLevel(level_)] += negatives;
   }
 }
 
-void TableReader::AccountRangeOutcome(bool any_rows, LsmStats* stats) const {
-  if (filter_ == nullptr || any_rows) return;
-  rg_false_.fetch_add(1, std::memory_order_relaxed);
-  if (stats != nullptr) {
-    ++stats->filter_false_positives[LsmStats::StatsLevel(level_)];
+void TableReader::AccountRangeOutcome(bool any_rows) const {
+  if (filter_ != nullptr && !any_rows) {
+    rg_false_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

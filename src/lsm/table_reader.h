@@ -1,6 +1,8 @@
-// SST reader of the mini-LSM store, with per-probe cost accounting
-// matching the breakdown the paper reports in Fig. 12.G (filter probe
-// time, deserialization time, I/O wait, residual CPU).
+// SST reader of the mini-LSM store. Each table counts its own filter
+// outcomes (allowed, false positive, rejected; see filter_outcomes()),
+// the one source of measured FPR; LsmStats counts probes and block
+// reads across tables. No read path takes a timestamp: Fig. 12.G's
+// probe/deserialization split is timed by bench_fig12g_breakdown.
 //
 // Reads go through an optional shared BlockCache: a data block is read
 // and parsed at most once while it stays resident, and MultiGet
@@ -23,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lsm/block.h"  // Lookup, ScanEntry
@@ -31,31 +34,26 @@
 
 namespace bloomrf {
 
-/// Aggregated probe-cost counters (shared by DB across its tables).
-/// Fields are relaxed atomics so concurrent readers can account into
-/// one instance without tearing; copying takes a (non-atomic-as-a-
-/// whole) field-by-field snapshot, which is exact whenever the copier
-/// has quiesced the readers and merely approximate otherwise.
+/// Engine counters, shared by a Db and its tables. Fields are relaxed
+/// atomics so concurrent readers can account into one instance without
+/// tearing; copying takes a (non-atomic-as-a-whole) field-by-field
+/// snapshot, which is exact whenever the copier has quiesced the
+/// readers and merely approximate otherwise. A new field is its
+/// declaration plus one entry in kCounters or kGauges below.
 struct LsmStats {
-  /// Levels with their own measured-FPR counters; deeper levels fold
-  /// into the last bucket.
+  /// Levels with their own compaction buckets; deeper levels fold into
+  /// the last bucket.
   static constexpr size_t kStatsLevels = 8;
 
+  // Filter probes over all tables, point and range, and how many the
+  // filter rejected. Measured FPR is per table and per backend instead
+  // (TableReader::filter_outcomes, Db::CollectFilterFeedback).
   std::atomic<uint64_t> filter_probes{0};
   std::atomic<uint64_t> filter_negatives{0};
-  // True false-positive accounting, per level: a probe the filter
-  // allowed but the data blocks then rejected (false positive) vs a
-  // probe the filter rejected (true negative — the structures have no
-  // false negatives). measured FPR = fp / (fp + tn).
-  std::atomic<uint64_t> filter_false_positives[kStatsLevels]{};
-  std::atomic<uint64_t> filter_true_negatives[kStatsLevels]{};
   std::atomic<uint64_t> blocks_read{0};  // physical reads (cache misses incl.)
   std::atomic<uint64_t> bytes_read{0};
   std::atomic<uint64_t> block_cache_hits{0};
   std::atomic<uint64_t> block_cache_misses{0};
-  std::atomic<uint64_t> filter_probe_nanos{0};
-  std::atomic<uint64_t> io_nanos{0};
-  std::atomic<uint64_t> deser_nanos{0};
   // Write path: WAL records appended, bytes handed to write() (and
   // synced when wal_fsync is on), and physical group-commit writes —
   // appends/batches is the average group size under contention.
@@ -83,11 +81,10 @@ struct LsmStats {
   std::atomic<uint64_t> tombstones_dropped{0};
   std::atomic<uint64_t> tombstones_live{0};
   // Parallel-compaction observability, attributed to the job's OUTPUT
-  // level (folded into the same buckets as the FPR counters): bytes in
-  // and out of each level's merges and the wall time they took, plus
-  // the number of range-partitioned subcompaction workers run and the
-  // jobs executing right now (a gauge — background jobs and manual
-  // CompactRange both count).
+  // level: bytes in and out of each level's merges and the wall time
+  // they took, plus the number of range-partitioned subcompaction
+  // workers run and the jobs executing right now (a gauge — background
+  // jobs and manual CompactRange both count).
   std::atomic<uint64_t> compaction_bytes_read_level[kStatsLevels]{};
   std::atomic<uint64_t> compaction_bytes_written_level[kStatsLevels]{};
   std::atomic<uint64_t> compaction_micros_level[kStatsLevels]{};
@@ -98,102 +95,34 @@ struct LsmStats {
   LsmStats(const LsmStats& o) { *this = o; }
   LsmStats& operator=(const LsmStats& o) {
     if (this == &o) return *this;
-    filter_probes = o.filter_probes.load(std::memory_order_relaxed);
-    filter_negatives = o.filter_negatives.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      filter_false_positives[l] =
-          o.filter_false_positives[l].load(std::memory_order_relaxed);
-      filter_true_negatives[l] =
-          o.filter_true_negatives[l].load(std::memory_order_relaxed);
-    }
-    blocks_read = o.blocks_read.load(std::memory_order_relaxed);
-    bytes_read = o.bytes_read.load(std::memory_order_relaxed);
-    block_cache_hits = o.block_cache_hits.load(std::memory_order_relaxed);
-    block_cache_misses = o.block_cache_misses.load(std::memory_order_relaxed);
-    filter_probe_nanos = o.filter_probe_nanos.load(std::memory_order_relaxed);
-    io_nanos = o.io_nanos.load(std::memory_order_relaxed);
-    deser_nanos = o.deser_nanos.load(std::memory_order_relaxed);
-    wal_appends = o.wal_appends.load(std::memory_order_relaxed);
-    wal_synced_bytes = o.wal_synced_bytes.load(std::memory_order_relaxed);
-    group_commit_batches =
-        o.group_commit_batches.load(std::memory_order_relaxed);
-    compactions = o.compactions.load(std::memory_order_relaxed);
-    compaction_failures =
-        o.compaction_failures.load(std::memory_order_relaxed);
-    compaction_bytes_read =
-        o.compaction_bytes_read.load(std::memory_order_relaxed);
-    compaction_bytes_written =
-        o.compaction_bytes_written.load(std::memory_order_relaxed);
-    manifest_appends = o.manifest_appends.load(std::memory_order_relaxed);
-    manifest_rewrites = o.manifest_rewrites.load(std::memory_order_relaxed);
-    tables_quarantined = o.tables_quarantined.load(std::memory_order_relaxed);
-    block_crc_errors = o.block_crc_errors.load(std::memory_order_relaxed);
-    tombstones_written = o.tombstones_written.load(std::memory_order_relaxed);
-    tombstones_dropped = o.tombstones_dropped.load(std::memory_order_relaxed);
-    tombstones_live = o.tombstones_live.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      compaction_bytes_read_level[l] =
-          o.compaction_bytes_read_level[l].load(std::memory_order_relaxed);
-      compaction_bytes_written_level[l] =
-          o.compaction_bytes_written_level[l].load(std::memory_order_relaxed);
-      compaction_micros_level[l] =
-          o.compaction_micros_level[l].load(std::memory_order_relaxed);
-    }
-    subcompactions_run = o.subcompactions_run.load(std::memory_order_relaxed);
-    compactions_inflight =
-        o.compactions_inflight.load(std::memory_order_relaxed);
+    auto copy = [](Counter& mine, const Counter& theirs) {
+      mine.store(theirs.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    };
+    ForEach(kFields, o, copy);
     SetLastError(o.last_error());
     return *this;
   }
 
-  /// Adds another instance's counters into this one (shard roll-up).
+  /// Adds another instance's counters and gauges into this one (shard
+  /// roll-up).
   void Accumulate(const LsmStats& o) {
-    filter_probes += o.filter_probes.load(std::memory_order_relaxed);
-    filter_negatives += o.filter_negatives.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      filter_false_positives[l] +=
-          o.filter_false_positives[l].load(std::memory_order_relaxed);
-      filter_true_negatives[l] +=
-          o.filter_true_negatives[l].load(std::memory_order_relaxed);
-    }
-    blocks_read += o.blocks_read.load(std::memory_order_relaxed);
-    bytes_read += o.bytes_read.load(std::memory_order_relaxed);
-    block_cache_hits += o.block_cache_hits.load(std::memory_order_relaxed);
-    block_cache_misses += o.block_cache_misses.load(std::memory_order_relaxed);
-    filter_probe_nanos += o.filter_probe_nanos.load(std::memory_order_relaxed);
-    io_nanos += o.io_nanos.load(std::memory_order_relaxed);
-    deser_nanos += o.deser_nanos.load(std::memory_order_relaxed);
-    wal_appends += o.wal_appends.load(std::memory_order_relaxed);
-    wal_synced_bytes += o.wal_synced_bytes.load(std::memory_order_relaxed);
-    group_commit_batches +=
-        o.group_commit_batches.load(std::memory_order_relaxed);
-    compactions += o.compactions.load(std::memory_order_relaxed);
-    compaction_failures +=
-        o.compaction_failures.load(std::memory_order_relaxed);
-    compaction_bytes_read +=
-        o.compaction_bytes_read.load(std::memory_order_relaxed);
-    compaction_bytes_written +=
-        o.compaction_bytes_written.load(std::memory_order_relaxed);
-    manifest_appends += o.manifest_appends.load(std::memory_order_relaxed);
-    manifest_rewrites += o.manifest_rewrites.load(std::memory_order_relaxed);
-    tables_quarantined +=
-        o.tables_quarantined.load(std::memory_order_relaxed);
-    block_crc_errors += o.block_crc_errors.load(std::memory_order_relaxed);
-    tombstones_written += o.tombstones_written.load(std::memory_order_relaxed);
-    tombstones_dropped += o.tombstones_dropped.load(std::memory_order_relaxed);
-    tombstones_live += o.tombstones_live.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      compaction_bytes_read_level[l] +=
-          o.compaction_bytes_read_level[l].load(std::memory_order_relaxed);
-      compaction_bytes_written_level[l] +=
-          o.compaction_bytes_written_level[l].load(std::memory_order_relaxed);
-      compaction_micros_level[l] +=
-          o.compaction_micros_level[l].load(std::memory_order_relaxed);
-    }
-    subcompactions_run += o.subcompactions_run.load(std::memory_order_relaxed);
-    compactions_inflight +=
-        o.compactions_inflight.load(std::memory_order_relaxed);
+    auto add = [](Counter& mine, const Counter& theirs) {
+      mine.fetch_add(theirs.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    };
+    ForEach(kFields, o, add);
     if (last_error().empty()) SetLastError(o.last_error());
+  }
+
+  /// Zeroes the counters and last_error. The gauges keep describing
+  /// the live store: a running compaction's closing decrement must
+  /// find the increment it made.
+  void Reset() {
+    ForEach(kCounters, *this, [](Counter& mine, const Counter&) {
+      mine.store(0, std::memory_order_relaxed);
+    });
+    SetLastError("");
   }
 
   /// Most recent write-path failure (WAL open/write, flush I/O) — why
@@ -208,37 +137,50 @@ struct LsmStats {
     last_error_ = std::move(msg);
   }
 
-  /// Folds a table's level into the per-level counter bucket.
+  /// Folds a level into its per-level compaction bucket.
   static size_t StatsLevel(uint32_t level) {
     return level < kStatsLevels ? level : kStatsLevels - 1;
   }
 
-  uint64_t total_filter_false_positives() const {
-    uint64_t total = 0;
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      total += filter_false_positives[l].load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  uint64_t total_filter_true_negatives() const {
-    uint64_t total = 0;
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      total += filter_true_negatives[l].load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  /// Measured FPR over all probes with a definite outcome; 0 when none.
-  double measured_fpr() const {
-    uint64_t fp = total_filter_false_positives();
-    uint64_t tn = total_filter_true_negatives();
-    return fp + tn > 0
-               ? static_cast<double>(fp) / static_cast<double>(fp + tn)
-               : 0.0;
-  }
-
-  void Reset() { *this = LsmStats{}; }
-
  private:
+  using Counter = std::atomic<uint64_t>;
+
+  // Every field once: counters count events since the last Reset,
+  // gauges describe the store as it is now.
+  static constexpr auto kCounters = std::make_tuple(
+      &LsmStats::filter_probes, &LsmStats::filter_negatives,
+      &LsmStats::blocks_read, &LsmStats::bytes_read,
+      &LsmStats::block_cache_hits, &LsmStats::block_cache_misses,
+      &LsmStats::wal_appends, &LsmStats::wal_synced_bytes,
+      &LsmStats::group_commit_batches, &LsmStats::compactions,
+      &LsmStats::compaction_failures, &LsmStats::compaction_bytes_read,
+      &LsmStats::compaction_bytes_written, &LsmStats::manifest_appends,
+      &LsmStats::manifest_rewrites, &LsmStats::tables_quarantined,
+      &LsmStats::block_crc_errors, &LsmStats::tombstones_written,
+      &LsmStats::tombstones_dropped, &LsmStats::compaction_bytes_read_level,
+      &LsmStats::compaction_bytes_written_level,
+      &LsmStats::compaction_micros_level, &LsmStats::subcompactions_run);
+  static constexpr auto kGauges = std::make_tuple(
+      &LsmStats::tombstones_live, &LsmStats::compactions_inflight);
+  static constexpr auto kFields = std::tuple_cat(kCounters, kGauges);
+
+  /// Calls f(mine, theirs) for each field in `fields` (each bucket of
+  /// a per-level field), pairing this instance's with o's.
+  template <typename Fields, typename F>
+  void ForEach(const Fields& fields, const LsmStats& o, F f) {
+    std::apply([&](auto... field) { (Pair(this->*field, o.*field, f), ...); },
+               fields);
+  }
+  template <typename F>
+  static void Pair(Counter& mine, const Counter& theirs, F& f) {
+    f(mine, theirs);
+  }
+  template <typename F>
+  static void Pair(Counter (&mine)[kStatsLevels],
+                   const Counter (&theirs)[kStatsLevels], F& f) {
+    for (size_t l = 0; l < kStatsLevels; ++l) f(mine[l], theirs[l]);
+  }
+
   mutable std::mutex err_mu_;
   std::string last_error_;
 };
@@ -254,6 +196,8 @@ class TableReader {
   /// when non-null, serves repeated block reads across all read paths
   /// of this table.
   /// `file_number` is the SST's manifest identity (0 when unknown).
+  /// Open counts nothing into `stats`; the parameter stays while
+  /// perfbench/replay.cc passes it.
   static std::unique_ptr<TableReader> Open(
       const std::string& path, const FilterPolicy* policy, LsmStats* stats,
       std::shared_ptr<BlockCache> cache = nullptr, uint64_t file_number = 0);
@@ -316,10 +260,6 @@ class TableReader {
   uint64_t file_size() const { return file_size_; }
   const std::string& path() const { return path_; }
 
-  /// LSM level of this table, for per-level stats attribution. Set
-  /// once by the Db before the reader is shared (no synchronization).
-  void set_level(uint32_t level) { level_ = level; }
-  uint32_t level() const { return level_; }
   /// Registry name of the filter backend this table carries (parsed
   /// from the framed filter block); "" when the table has no filter.
   const std::string& filter_backend() const { return filter_backend_; }
@@ -349,7 +289,7 @@ class TableReader {
   /// RangeMultiProbe report whether the range held any entry; none
   /// means the filter answer was a false positive. No-op when the
   /// table has no filter.
-  void AccountRangeOutcome(bool any_rows, LsmStats* stats) const;
+  void AccountRangeOutcome(bool any_rows) const;
 
   /// How a cursor fetches data blocks.
   enum class ReadMode {
@@ -425,7 +365,6 @@ class TableReader {
   uint64_t file_number_ = 0;  // manifest identity (0 = unknown)
   uint64_t file_size_ = 0;
   uint64_t num_tombstones_ = 0;  // footer count
-  uint32_t level_ = 0;          // LSM level (set before sharing)
   std::string filter_backend_;  // registry name from the framed block
   // Per-table probe outcomes (relaxed; read via filter_outcomes()).
   mutable std::atomic<uint64_t> pt_allowed_{0};

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <vector>
 
 #include "bench/lsm_bench_util.h"
 #include "lsm/db.h"
@@ -97,24 +98,27 @@ TEST_F(EndToEndTest, ReopenedFiltersKeepWorking) {
   // Open the SST files directly through TableReader (the directory
   // also holds the MANIFEST and CURRENT files now).
   LsmStats stats;
-  size_t tables = 0;
+  std::vector<std::unique_ptr<TableReader>> readers;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     if (entry.path().extension() != ".sst") continue;
     auto reader = TableReader::Open(entry.path().string(), policy.get(),
                                     &stats);
     ASSERT_NE(reader, nullptr);
-    ++tables;
-    std::string value;
-    // Spot-check membership via the fresh reader.
-    for (size_t i = 0; i < data.keys.size(); i += 997) {
-      uint64_t k = data.keys[i];
-      if (k >= reader->min_key() && k <= reader->max_key()) {
-        reader->Get(k, &value, &stats);
-      }
-    }
+    EXPECT_NE(reader->filter(), nullptr);
+    readers.push_back(std::move(reader));
   }
-  EXPECT_GT(tables, 0u);
-  EXPECT_GT(stats.deser_nanos, 0u);
+  ASSERT_GT(readers.size(), 1u);
+  // Spot-check membership via the fresh readers: each key was flushed
+  // into exactly one table, whose reloaded filter must let it through.
+  std::string value;
+  for (size_t i = 0; i < data.keys.size(); i += 997) {
+    const uint64_t k = data.keys[i];
+    size_t found = 0;
+    for (const auto& reader : readers) {
+      if (reader->Get(k, &value, &stats)) ++found;
+    }
+    EXPECT_EQ(found, 1u) << k;
+  }
 }
 
 }  // namespace

@@ -294,8 +294,8 @@ TEST_F(AdaptiveFilterTest, AdaptivePolicyWithoutSamplerFallsBack) {
 
 TEST_F(AdaptiveFilterTest, FalsePositiveCountersMeasureRealFpr) {
   // A deliberately weak Bloom filter (4 bits/key): absent-key Gets
-  // must split into per-level true negatives and false positives whose
-  // ratio lands near the analytic ~15% FPR.
+  // must split into true negatives and false positives whose ratio
+  // lands near the analytic ~15% FPR.
   Db db(BaseOptions(NewBloomPolicy(4.0)));
   // Even keys only; one past the probe range so every odd probe below
   // falls inside the table's [min,max] and reaches the filter.
@@ -310,25 +310,17 @@ TEST_F(AdaptiveFilterTest, FalsePositiveCountersMeasureRealFpr) {
   for (uint64_t q = 0; q < kQueries; ++q) {
     EXPECT_FALSE(db.Get(q * 2 + 1, &value));  // odd: always absent
   }
-  const LsmStats& stats = db.stats();
-  uint64_t fp = stats.total_filter_false_positives();
-  uint64_t tn = stats.total_filter_true_negatives();
-  // Every absent-key probe has a definite outcome.
-  EXPECT_EQ(fp + tn, kQueries);
-  // L0 is stats level 0; no deeper level saw traffic.
-  EXPECT_EQ(stats.filter_false_positives[0].load(), fp);
-  EXPECT_EQ(stats.filter_true_negatives[0].load(), tn);
-  double measured = stats.measured_fpr();
-  EXPECT_GT(measured, 0.05);
-  EXPECT_LT(measured, 0.35);
-
-  // The same outcomes are visible per backend for the planner.
+  // The planner reads the outcomes per backend.
   FilterFeedback feedback = db.CollectFilterFeedback();
   const BackendObservation* obs = feedback.Find("bloom");
   ASSERT_NE(obs, nullptr);
-  EXPECT_EQ(obs->point_false, fp);
-  EXPECT_EQ(obs->point_negatives, tn);
-  EXPECT_GT(obs->MeasuredPointFpr(512), 0.05);
+  // Every absent-key probe has a definite outcome.
+  EXPECT_EQ(obs->point_false + obs->point_negatives, kQueries);
+  const double measured = obs->MeasuredPointFpr(512);
+  EXPECT_GT(measured, 0.05);
+  EXPECT_LT(measured, 0.35);
+  // The Db-wide probe count agrees with the tables'.
+  EXPECT_EQ(db.stats().filter_negatives.load(), obs->point_negatives);
 }
 
 TEST_F(AdaptiveFilterTest, RangeOutcomesAreAccounted) {
@@ -349,10 +341,11 @@ TEST_F(AdaptiveFilterTest, RangeOutcomesAreAccounted) {
   }
   auto results = db.ScanRange(los, his, 16);
   for (const auto& rows : results) EXPECT_TRUE(rows.empty());
-  const LsmStats& stats = db.stats();
-  EXPECT_EQ(stats.total_filter_false_positives() +
-                stats.total_filter_true_negatives(),
-            los.size());
+  FilterFeedback feedback = db.CollectFilterFeedback();
+  const BackendObservation* obs = feedback.Find("bloomrf");
+  ASSERT_NE(obs, nullptr);
+  EXPECT_EQ(obs->range_false + obs->range_negatives, los.size());
+  EXPECT_EQ(db.stats().filter_negatives.load(), obs->range_negatives);
 }
 
 }  // namespace

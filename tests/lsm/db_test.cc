@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
 
 #include "tests/test_util.h"
@@ -14,6 +16,53 @@
 
 namespace bloomrf {
 namespace {
+
+/// Env whose SST creations, while armed, wait until Release() — it
+/// holds a compaction mid-job for as long as a test needs.
+class BlockingSstEnv : public Env {
+ public:
+  std::unique_ptr<WritableFile> NewWritableFile(
+      const std::string& path) override {
+    if (FaultKindForPath(path) == "sst") {
+      std::unique_lock<std::mutex> lock(mu_);
+      blocked_ = armed_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !armed_; });
+    }
+    return base_->NewWritableFile(path);
+  }
+  bool RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  bool DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  bool SyncDir(const std::string& dir) override { return base_->SyncDir(dir); }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitUntilBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return blocked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  Env* const base_ = Env::Default();
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool blocked_ = false;
+};
 
 class DbTest : public ::testing::Test {
  protected:
@@ -163,6 +212,36 @@ TEST_F(DbTest, RangeMayMatchReadsNoBlocks) {
   EXPECT_EQ(stats.blocks_read, 0u);
   EXPECT_EQ(stats.bytes_read, 0u);
   EXPECT_EQ(stats.block_cache_misses, 0u);
+}
+
+TEST_F(DbTest, ResetStatsKeepsGauges) {
+  // ResetStats clears what happened, not what is: the live-tombstone
+  // count and the running-compaction count survive it, and a job that
+  // runs across the reset still ends with nothing in flight.
+  BlockingSstEnv env;
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewBloomPolicy(10.0);
+  options.env = &env;
+  Db db(options);
+  for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(db.Put(k, "v"));
+  ASSERT_TRUE(db.Delete(7));
+  ASSERT_TRUE(db.Flush());
+  ASSERT_EQ(db.stats().tombstones_live.load(), 1u);
+  db.ResetStats();
+  EXPECT_EQ(db.stats().tombstones_live.load(), 1u);
+
+  env.Arm();
+  std::thread compact([&db] { EXPECT_TRUE(db.CompactAll()); });
+  env.WaitUntilBlocked();  // the job's first output SST
+  EXPECT_EQ(db.stats().compactions_inflight.load(), 1u);
+  db.ResetStats();
+  EXPECT_EQ(db.stats().compactions_inflight.load(), 1u);
+  env.Release();
+  compact.join();
+  EXPECT_EQ(db.stats().compactions_inflight.load(), 0u);
+  EXPECT_EQ(db.stats().compactions.load(), 1u);
+  EXPECT_EQ(db.stats().tombstones_live.load(), 0u);  // dropped at the bottom
 }
 
 TEST_F(DbTest, PointQueriesNoFalseNegativesAcrossManySsts) {
