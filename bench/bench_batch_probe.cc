@@ -1,5 +1,5 @@
-// Planned/batched probe throughput vs the scalar loop, plus batched
-// LSM MultiGet vs N×Get with the shared block cache.
+// Planned/batched probe throughput vs the scalar loop, plus LSM
+// MultiGet vs N×Get with the shared block cache.
 //
 // Point probes: for each online backend (bloomRF, Bloom, BlockedBloom,
 // PrefixBloom, Cuckoo), probes the same query mix through the scalar
@@ -294,9 +294,9 @@ int main(int argc, char** argv) {
       0x9e2);
 
   // Warm the block cache with one untimed pass, so both timed passes
-  // run at the same cache residency and the difference measures
-  // batching (one filter probe per batch, one parse per block), not
-  // who paid the cold misses.
+  // run at the same cache residency. MultiGet runs Get's walk for each
+  // key on one snapshot, so the ratio measures the per-call overhead
+  // MultiGet saves or adds, not a batched probe.
   std::string value;
   for (uint64_t q : db_probe) (void)db.Get(q, &value);
 

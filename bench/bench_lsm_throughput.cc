@@ -6,8 +6,8 @@
 // For every (shards, threads) cell, `threads` client threads hammer
 // one ShardedDb with a fixed per-thread op budget:
 //  - Get: scalar point lookups (50% present / 50% absent),
-//  - MultiGet: the same mix in batches of 1024 (planned filter probes,
-//    block-cache-grouped block reads, per-shard parallel fan-out),
+//  - MultiGet: the same mix in batches of 1024 (each shard's sub-batch
+//    is N Gets on one snapshot; per-shard parallel fan-out),
 //  - ScanRange: batches of 64 ranges, half populated / half empty,
 //  - Put: random-key inserts into a fresh engine (WAL off, so the cell
 //    measures the memtable/seal path alone),

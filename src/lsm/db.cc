@@ -58,23 +58,6 @@ std::vector<std::pair<uint64_t, std::string>> ListNumberedFiles(
   return files;
 }
 
-/// All SSTs of the current Version in read precedence order: L0
-/// newest-first (flush order reversed), then each deeper level. Within
-/// a deeper level the files are disjoint, so their order carries no
-/// recency meaning.
-std::vector<const TableReader*> TablesNewestFirst(const Version& v) {
-  std::vector<const TableReader*> out;
-  const auto& levels = v.levels();
-  out.reserve(v.table_count());
-  for (auto it = levels[0].rbegin(); it != levels[0].rend(); ++it) {
-    out.push_back(it->get());
-  }
-  for (size_t level = 1; level < levels.size(); ++level) {
-    for (const auto& table : levels[level]) out.push_back(table.get());
-  }
-  return out;
-}
-
 }  // namespace
 
 Db::Db(DbOptions options) : options_(std::move(options)) {
@@ -1053,7 +1036,7 @@ bool Db::CompactAll() { return CompactRange(0, UINT64_MAX); }
 FilterFeedback Db::CollectFilterFeedback() const {
   FilterFeedback feedback;
   auto version = versions_.Current();
-  for (const TableReader* table : TablesNewestFirst(*version)) {
+  for (const TableReader* table : version->tables()) {
     if (table->filter() == nullptr || table->filter_backend().empty()) {
       continue;
     }
@@ -1071,85 +1054,40 @@ FilterFeedback Db::CollectFilterFeedback() const {
 
 bool Db::Get(uint64_t key, std::string* value) {
   if (sampler_ != nullptr) sampler_->RecordPoint(key);
-  auto version = versions_.Current();
-  // Newest-first walk; the FIRST entry found for the key decides. A
-  // tombstone is a definite "deleted" — falling through to an older
-  // source would resurrect the key.
-  switch (version->active()->Find(key, value)) {
-    case Lookup::kHit: return true;
-    case Lookup::kTombstone: return false;
-    case Lookup::kMiss: break;
-  }
-  const auto& sealed = version->sealed();
-  for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-    switch ((*it)->Find(key, value)) {
-      case Lookup::kHit: return true;
-      case Lookup::kTombstone: return false;
-      case Lookup::kMiss: break;
-    }
-  }
-  for (const TableReader* table : TablesNewestFirst(*version)) {
-    // Leveled compaction leaves L1+ files key-disjoint, so most tables
-    // can't contain the key at all — skip them before the filter probe
-    // or read amplification grows with file count instead of shrinking.
-    if (key < table->min_key() || key > table->max_key()) continue;
-    switch (table->Find(key, value, &stats_)) {
-      case Lookup::kHit: return true;
-      case Lookup::kTombstone: return false;
-      case Lookup::kMiss: break;
-    }
-  }
-  return false;
+  return GetFrom(*versions_.Current(), key, value);
 }
 
 std::vector<std::optional<std::string>> Db::MultiGet(
     std::span<const uint64_t> keys) {
-  std::vector<std::optional<std::string>> result(keys.size());
-  if (keys.empty()) return result;
   if (sampler_ != nullptr) sampler_->RecordPoints(keys);
-
   auto version = versions_.Current();
-
-  // Memtables first (newest data); they already index by key. A hit
-  // lands in `result` directly; a tombstone marks the key resolved
-  // (absent) so no older source below can resurrect it.
-  std::vector<Lookup> states(keys.size(), Lookup::kMiss);
-  size_t remaining = keys.size();
+  std::vector<std::optional<std::string>> result(keys.size());
   std::string value;
   for (size_t i = 0; i < keys.size(); ++i) {
-    states[i] = version->active()->Find(keys[i], &value);
-    if (states[i] == Lookup::kHit) result[i] = value;
-    if (states[i] != Lookup::kMiss) --remaining;
-  }
-  const auto& sealed = version->sealed();
-  for (auto it = sealed.rbegin(); it != sealed.rend() && remaining > 0; ++it) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (states[i] != Lookup::kMiss) continue;
-      states[i] = (*it)->Find(keys[i], &value);
-      if (states[i] == Lookup::kHit) result[i] = value;
-      if (states[i] != Lookup::kMiss) --remaining;
-    }
-  }
-
-  // Then the tables newest-first, chaining one states/values array
-  // pair so each table only probes keys no newer source resolved (a
-  // tombstone resolves just like a hit). Tables whose key range misses
-  // the whole batch are skipped outright.
-  const auto [lo_it, hi_it] = std::minmax_element(keys.begin(), keys.end());
-  const uint64_t batch_lo = *lo_it;
-  const uint64_t batch_hi = *hi_it;
-  std::vector<std::string> values(keys.size());
-  for (const TableReader* table : TablesNewestFirst(*version)) {
-    if (remaining == 0) break;
-    if (batch_hi < table->min_key() || batch_lo > table->max_key()) continue;
-    remaining -= table->MultiGet(keys, states.data(), values.data(), &stats_);
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (states[i] == Lookup::kHit && !result[i].has_value()) {
-      result[i] = std::move(values[i]);
-    }
+    if (GetFrom(*version, keys[i], &value)) result[i] = std::move(value);
   }
   return result;
+}
+
+bool Db::GetFrom(const Version& version, uint64_t key, std::string* value) {
+  // Newest-first walk; the FIRST entry found for the key decides. A
+  // tombstone is a definite "deleted" — falling through to an older
+  // source would resurrect the key.
+  Lookup found = version.active()->Find(key, value);
+  const auto& sealed = version.sealed();
+  for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
+    if (found != Lookup::kMiss) break;
+    found = (*it)->Find(key, value);
+  }
+  for (const TableReader* table : version.tables()) {
+    if (found != Lookup::kMiss) break;
+    // Leveled compaction leaves L1+ files key-disjoint, so most tables
+    // can't contain the key at all — skip them before the filter probe
+    // or read amplification grows with file count instead of shrinking.
+    if (key < table->min_key() || key > table->max_key()) continue;
+    found = table->Find(key, value, &stats_);
+  }
+  return found == Lookup::kHit;
 }
 
 std::vector<std::pair<uint64_t, std::string>> Db::RangeScan(uint64_t lo,
@@ -1176,7 +1114,7 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
   // One batched filter probe per table; only the tables whose filter
   // cannot exclude a range join that range's merge, and they read
   // their blocks through the shared cache.
-  const std::vector<const TableReader*> tables = TablesNewestFirst(*version);
+  const std::vector<const TableReader*>& tables = version->tables();
   auto may_match = std::make_unique<bool[]>(tables.size() * n);
   for (size_t t = 0; t < tables.size(); ++t) {
     tables[t]->RangeMultiProbe(los, his, &may_match[t * n], &stats_);
@@ -1230,7 +1168,7 @@ bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
   // Tables answer from their filters alone; every filtered table is
   // probed so the FPR counters see the query.
   bool any = false;
-  for (const TableReader* table : TablesNewestFirst(*version)) {
+  for (const TableReader* table : version->tables()) {
     if (table->filter() != nullptr) {
       bool may_match = false;
       table->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats_);
@@ -1245,7 +1183,7 @@ bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
 void Db::UpdateTombstonesLive() {
   uint64_t total = 0;
   auto version = versions_.Current();
-  for (const TableReader* table : TablesNewestFirst(*version)) {
+  for (const TableReader* table : version->tables()) {
     total += table->num_tombstones();
   }
   stats_.tombstones_live.store(total, std::memory_order_relaxed);
@@ -1267,7 +1205,7 @@ std::vector<size_t> Db::level_table_counts() const {
 uint64_t Db::filter_memory_bits() const {
   uint64_t total = 0;
   auto version = versions_.Current();
-  for (const TableReader* table : TablesNewestFirst(*version)) {
+  for (const TableReader* table : version->tables()) {
     total += table->filter_memory_bits();
   }
   return total;

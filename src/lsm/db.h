@@ -233,11 +233,9 @@ class Db {
   bool Get(uint64_t key, std::string* value);
 
   /// Batched point read: result[i] holds keys[i]'s value, or nullopt
-  /// when absent. Equivalent to N Get calls but: each table's filter
-  /// is probed once per batch via the planned MayContainBatch, keys
-  /// surviving the filter are grouped so every data block is read and
-  /// parsed once, and repeated blocks are served from the shared LRU
-  /// block cache.
+  /// when absent. N Gets on one Version snapshot: each key takes Get's
+  /// newest-first walk (a table whose [min, max] misses the key is not
+  /// probed), so the whole batch sees one state of the store.
   std::vector<std::optional<std::string>> MultiGet(
       std::span<const uint64_t> keys);
 
@@ -348,6 +346,9 @@ class Db {
   std::string SstPath(uint64_t file_number) const {
     return options_.dir + "/" + std::to_string(file_number) + ".sst";
   }
+  /// The point-lookup walk of Get and MultiGet over `version`: true
+  /// iff the newest entry for `key` is a live value, copied to *value.
+  bool GetFrom(const Version& version, uint64_t key, std::string* value);
   /// Rebuilds the table tree from CURRENT → MANIFEST (falling back to
   /// the newest manifest on disk), quarantines tables it cannot use
   /// (unreadable, or no manifest to place them), writes a fresh

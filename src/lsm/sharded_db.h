@@ -5,8 +5,8 @@
 // seal/flush pipeline and SST set; all shards share one BlockCache and
 // one FilterPolicy. Batch reads (MultiGet/ScanRange) and WriteBatch
 // fan out per shard on a small reusable ThreadPool of num_shards
-// workers (reads are reassembled in input order), so the planned batch
-// probes of every shard run genuinely in parallel; Flush and
+// workers (reads are reassembled in input order), so the sub-batches
+// of every shard run genuinely in parallel; Flush and
 // CompactRange fan out over every shard the same way. Point
 // Put/Delete/Get route directly with no pool hop.
 //
@@ -112,7 +112,7 @@ class ShardedDb {
 
   /// Batched point read, result[i] answering keys[i]. Keys are
   /// partitioned per shard, each shard's sub-batch runs Db::MultiGet
-  /// (planned filter probes + block cache) as one pool task, and the
+  /// (N Gets on one snapshot of that shard) as one pool task, and the
   /// answers are scattered back to input order.
   std::vector<std::optional<std::string>> MultiGet(
       std::span<const uint64_t> keys);

@@ -246,77 +246,11 @@ Lookup TableReader::Find(uint64_t key, std::string* value,
 
 size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
                              std::string* values, LsmStats* stats) const {
-  // Unresolved positions only: a DB chains the same arrays through its
-  // tables newest-first, so keys resolved in a newer table (a hit OR a
-  // tombstone — deletions shadow) are skipped.
-  std::vector<uint32_t> pending;
-  pending.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (states[i] == Lookup::kMiss) pending.push_back(static_cast<uint32_t>(i));
-  }
-  if (pending.empty()) return 0;
-
-  // One batched (planned, prefetching) filter probe for the batch.
-  std::vector<std::pair<int64_t, uint32_t>> by_block;
-  size_t allowed = 0;
-  const bool filtered = filter_ != nullptr;
-  if (filtered) {
-    std::vector<uint64_t> probe_keys;
-    probe_keys.reserve(pending.size());
-    for (uint32_t i : pending) probe_keys.push_back(keys[i]);
-    auto may = std::make_unique<bool[]>(pending.size());
-    filter_->MayContainBatch(probe_keys, may.get());
-    by_block.reserve(pending.size());
-    for (size_t j = 0; j < pending.size(); ++j) {
-      if (!may[j]) continue;
-      ++allowed;
-      int64_t b = FindBlock(keys[pending[j]]);
-      if (b >= 0) by_block.emplace_back(b, pending[j]);
-    }
-    const size_t negatives = pending.size() - allowed;
-    pt_neg_.fetch_add(negatives, std::memory_order_relaxed);
-    pt_allowed_.fetch_add(allowed, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      stats->filter_probes += pending.size();
-      stats->filter_negatives += negatives;
-    }
-  } else {
-    by_block.reserve(pending.size());
-    for (uint32_t i : pending) {
-      int64_t b = FindBlock(keys[i]);
-      if (b >= 0) by_block.emplace_back(b, i);
-    }
-  }
-
-  // Visit each surviving block once for all of its keys.
-  std::stable_sort(by_block.begin(), by_block.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
   size_t resolved = 0;
-  std::shared_ptr<const CachedBlock> block;
-  int64_t current = -1;
-  for (const auto& [block_idx, i] : by_block) {
-    if (block_idx != current) {
-      block = GetBlock(static_cast<size_t>(block_idx), stats);
-      current = block_idx;
-    }
-    if (block == nullptr) continue;
-    auto it = std::lower_bound(
-        block->entries.begin(), block->entries.end(), keys[i],
-        [](const BlockEntry& e, uint64_t k) { return e.key < k; });
-    if (it == block->entries.end() || it->key != keys[i]) continue;
-    if (it->tombstone) {
-      states[i] = Lookup::kTombstone;
-    } else {
-      states[i] = Lookup::kHit;
-      if (values != nullptr) values[i].assign(it->value);
-    }
-    ++resolved;
-  }
-  if (filtered && allowed > resolved) {
-    // Every allowed probe the data blocks did not confirm was a false
-    // positive (conservatively including the rare unreadable block).
-    // Tombstone hits confirm the filter — the key IS in the table.
-    pt_false_.fetch_add(allowed - resolved, std::memory_order_relaxed);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (states[i] != Lookup::kMiss) continue;
+    states[i] = Find(keys[i], values != nullptr ? &values[i] : nullptr, stats);
+    if (states[i] != Lookup::kMiss) ++resolved;
   }
   return resolved;
 }

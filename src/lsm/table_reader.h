@@ -5,9 +5,9 @@
 // probe/deserialization split is timed by bench_fig12g_breakdown.
 //
 // Reads go through an optional shared BlockCache: a data block is read
-// and parsed at most once while it stays resident, and MultiGet
-// batch-probes the filter (MayContainBatch) then visits each surviving
-// block once for all keys that map to it.
+// and parsed at most once while it stays resident. Every point probe
+// goes through Find, and with it one false-positive rule; MultiGet is
+// a loop of Find, kept for perfbench's replay.
 //
 // All read methods are const and safe to call from many threads at
 // once: file access uses positioned reads (pread) so no seek state is
@@ -209,7 +209,8 @@ class TableReader {
   /// caller must stop the newest-first walk and report "absent", never
   /// fall through to an older table. A tombstone hit confirms the
   /// filter's answer (the key IS in the table), so it is not counted
-  /// as a false positive.
+  /// as a false positive; nor is a probe whose data block cannot be
+  /// read, whose outcome is unknown.
   Lookup Find(uint64_t key, std::string* value, LsmStats* stats) const;
 
   /// Live-value lookup: Find == kHit. `value` may be null (existence
@@ -219,15 +220,11 @@ class TableReader {
     return Find(key, value, stats) == Lookup::kHit;
   }
 
-  /// Batched point lookup. For each i with states[i] == kMiss, probes
-  /// keys[i]; on a hit sets states[i] = kHit and (if `values` is
-  /// non-null) values[i]; on a tombstone sets states[i] = kTombstone
-  /// (resolved: older tables must not override it). Keys already
-  /// resolved are skipped, so a DB can chain the same arrays through
-  /// tables newest-first. The filter is consulted once per batch via
-  /// MayContainBatch, and each surviving data block is fetched and
-  /// parsed once for all keys mapping to it. Returns the number of
-  /// newly resolved keys (hits + tombstones).
+  /// states[i] = Find(keys[i], &values[i]) for each i with states[i]
+  /// == kMiss (`values` may be null), so a caller can chain the arrays
+  /// through tables newest-first. Returns the number of newly resolved
+  /// keys (hits + tombstones). Db does not call it; it is kept because
+  /// perfbench's replay does.
   size_t MultiGet(std::span<const uint64_t> keys, Lookup* states,
                   std::string* values, LsmStats* stats) const;
 

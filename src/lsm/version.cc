@@ -11,6 +11,7 @@ std::shared_ptr<const Version> Version::WithSealedActive(
   next->sealed_ = sealed_;
   next->sealed_.push_back(active_);
   next->levels_ = levels_;
+  next->tables_ = tables_;
   return next;
 }
 
@@ -24,6 +25,7 @@ std::shared_ptr<const Version> Version::WithFlushed(
   }
   next->levels_ = levels_;
   next->levels_[0].push_back(std::move(table));
+  next->OrderTables();
   return next;
 }
 
@@ -55,6 +57,7 @@ std::shared_ptr<const Version> Version::WithCompaction(
                 return a->min_key() < b->min_key();
               });
   }
+  next->OrderTables();
   return next;
 }
 
@@ -64,7 +67,17 @@ std::shared_ptr<const Version> Version::FromLevels(
   v->active_ = std::make_shared<MemTable>();
   if (levels.empty()) levels.resize(1);
   v->levels_ = std::move(levels);
+  v->OrderTables();
   return v;
+}
+
+void Version::OrderTables() {
+  for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
+    tables_.push_back(it->get());
+  }
+  for (size_t level = 1; level < levels_.size(); ++level) {
+    for (const auto& table : levels_[level]) tables_.push_back(table.get());
+  }
 }
 
 }  // namespace bloomrf

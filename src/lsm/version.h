@@ -61,12 +61,12 @@ class Version {
   /// overlap); levels()[i>=1] = a sorted run (by min_key) of disjoint
   /// files. Always at least one level.
   const std::vector<TableList>& levels() const { return levels_; }
+  /// Every table in read precedence order: L0 newest-first, then each
+  /// deeper level in key order. Built once per Version; the pointers
+  /// live as long as the Version.
+  const std::vector<const TableReader*>& tables() const { return tables_; }
 
-  size_t table_count() const {
-    size_t n = 0;
-    for (const auto& level : levels_) n += level.size();
-    return n;
-  }
+  size_t table_count() const { return tables_.size(); }
   /// Sum of the level's on-disk file sizes (compaction pressure).
   uint64_t level_bytes(size_t level) const {
     if (level >= levels_.size()) return 0;
@@ -104,9 +104,13 @@ class Version {
   struct Raw {};  // tag: the With* builders fill every field themselves
   explicit Version(Raw) {}
 
+  /// Fills tables_ from levels_.
+  void OrderTables();
+
   std::shared_ptr<MemTable> active_;
   std::vector<std::shared_ptr<const MemTable>> sealed_;
   std::vector<TableList> levels_;
+  std::vector<const TableReader*> tables_;
 };
 
 /// Holder of the current Version: readers copy the pointer in one

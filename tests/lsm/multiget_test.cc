@@ -1,12 +1,14 @@
-// MultiGet is the batched equivalent of N Get calls: same answers for
+// MultiGet is N Get calls on one Version snapshot: same answers for
 // every key (memtable hits, SST hits across many tables, misses,
-// duplicates, empty batches), with the filter consulted once per batch
-// and repeated block reads served by the shared LRU cache.
+// duplicates, empty batches), the same filter probes and outcomes as
+// the Gets, and repeated block reads served by the shared LRU cache.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
+#include <fstream>
 
 #include "lsm/db.h"
 #include "tests/test_util.h"
@@ -48,6 +50,19 @@ class MultiGetTest : public ::testing::Test {
       ASSERT_EQ(batched[i].has_value(), found) << "key " << keys[i];
       if (found) EXPECT_EQ(*batched[i], value) << "key " << keys[i];
     }
+  }
+
+  /// The bloomrf backend's point outcomes (allowed, false, negatives)
+  /// from CollectFilterFeedback; zeros when no table carries it.
+  using Outcomes = std::array<uint64_t, 3>;
+  static Outcomes PointOutcomes(const Db& db) {
+    const FilterFeedback feedback = db.CollectFilterFeedback();
+    const BackendObservation* obs = feedback.Find("bloomrf");
+    if (obs == nullptr) return {};
+    return {obs->point_allowed, obs->point_false, obs->point_negatives};
+  }
+  static Outcomes Delta(const Outcomes& before, const Outcomes& after) {
+    return {after[0] - before[0], after[1] - before[1], after[2] - before[2]};
   }
 
   std::string dir_;
@@ -145,6 +160,96 @@ TEST_F(MultiGetTest, WorksWithoutFilterPolicy) {
   std::vector<uint64_t> probes;
   for (uint64_t k = 0; k < 300; ++k) probes.push_back(k);
   ExpectMatchesGet(db, probes);
+}
+
+TEST_F(MultiGetTest, ProbesExactlyTheTablesGetProbes) {
+  // A leveled tree of disjoint L1 files: a Get probes only the table
+  // whose [min, max] holds its key, and a MultiGet must probe the same
+  // tables with the same outcomes.
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewBloomRFPolicy(16.0, 1e6);
+  options.memtable_bytes = 64 << 10;
+  options.level_base_bytes = 64 << 10;
+  Db db(options);
+  Dataset data = MakeDataset(20000, Distribution::kUniform, 85);
+  for (uint64_t k : data.keys) ASSERT_TRUE(db.Put(k, MakeValue(k, 24)));
+  ASSERT_TRUE(db.CompactAll());
+  ASSERT_GT(db.num_tables(), 10u);
+  ASSERT_EQ(db.level_table_counts()[0], 0u);
+
+  Rng rng(86);
+  std::vector<uint64_t> probes;
+  for (size_t i = 0; i < 2048; ++i) {
+    probes.push_back(i % 2 == 0 ? data.keys[rng.Uniform(data.keys.size())]
+                                : rng.Next());
+  }
+
+  db.ResetStats();
+  const Outcomes before_gets = PointOutcomes(db);
+  std::string value;
+  std::vector<bool> found;
+  for (uint64_t k : probes) found.push_back(db.Get(k, &value));
+  const uint64_t get_probes = db.stats().filter_probes;
+  const uint64_t get_negatives = db.stats().filter_negatives;
+  const Outcomes get_outcomes = Delta(before_gets, PointOutcomes(db));
+
+  db.ResetStats();
+  const Outcomes before_multigets = PointOutcomes(db);
+  for (size_t base = 0; base < probes.size(); base += 32) {
+    auto answers = db.MultiGet({probes.data() + base, 32});
+    for (size_t i = 0; i < answers.size(); ++i) {
+      ASSERT_EQ(answers[i].has_value(), found[base + i]) << base + i;
+    }
+  }
+  EXPECT_GT(get_probes, probes.size() / 2);
+  EXPECT_GT(get_outcomes[0], 0u);
+  EXPECT_EQ(db.stats().filter_probes, get_probes);
+  EXPECT_EQ(db.stats().filter_negatives, get_negatives);
+  EXPECT_EQ(Delta(before_multigets, PointOutcomes(db)), get_outcomes);
+}
+
+TEST_F(MultiGetTest, UnreadableBlockIsNotAFalsePositive) {
+  // A filter probe whose data block fails its checksum has no known
+  // outcome: neither path may charge it to the filter as a false
+  // positive.
+  Db db = MakeDb(NewBloomRFPolicy(16.0, 1e6), /*memtable_bytes=*/1 << 20);
+  Dataset data = MakeDataset(3000, Distribution::kUniform, 87);
+  for (uint64_t k : data.keys) ASSERT_TRUE(db.Put(k, MakeValue(k, 24)));
+  ASSERT_TRUE(db.Flush());
+  ASSERT_EQ(db.num_tables(), 1u);
+  std::string sst;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".sst") sst = entry.path();
+  }
+  {
+    // 4 KiB blocks: byte 6000 lies in the second data block.
+    std::fstream f(sst, std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    f.seekg(6000);
+    f.get(byte);
+    f.seekp(6000);
+    f.put(static_cast<char>(byte ^ 0x5a));
+  }
+
+  db.ResetStats();
+  std::string value;
+  size_t gets_found = 0;
+  for (uint64_t k : data.keys) gets_found += db.Get(k, &value);
+  EXPECT_GT(gets_found, 0u);
+  EXPECT_LT(gets_found, data.keys.size());
+  EXPECT_GT(db.stats().block_crc_errors, 0u);
+  EXPECT_GT(PointOutcomes(db)[0], 0u);
+  EXPECT_EQ(PointOutcomes(db)[1], 0u);
+
+  db.ResetStats();
+  size_t multiget_found = 0;
+  for (const auto& answer : db.MultiGet(data.keys)) {
+    multiget_found += answer.has_value();
+  }
+  EXPECT_EQ(multiget_found, gets_found);
+  EXPECT_GT(db.stats().block_crc_errors, 0u);
+  EXPECT_EQ(PointOutcomes(db)[1], 0u);
 }
 
 TEST_F(MultiGetTest, SharedCacheAcrossDbs) {
