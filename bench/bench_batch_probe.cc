@@ -3,18 +3,21 @@
 //
 // Point probes: for each online backend (bloomRF, Bloom, BlockedBloom,
 // PrefixBloom, Cuckoo), probes the same query mix through the scalar
-// virtual loop and through the SIMD lane-group MayContainBatch in
-// chunks, and reports Mops + speedup. Range probes: every
-// range-capable backend (bloomRF's lockstep-planned descent, Rosetta,
-// PrefixBloom, SuRF) through MayContainRangeBatch vs the scalar
-// MayContainRange loop. LSM: a multi-SST store probed key-at-a-time vs
-// MultiGet, then a second MultiGet pass over the same keys to show
-// block-cache hits.
+// virtual loop and through the planned MayContainBatch (plan and
+// prefetch a stripe, then test in scalar code) in chunks, and reports
+// Mops + speedup. Range probes: every range-capable backend (bloomRF's
+// lockstep-planned descent, Rosetta, PrefixBloom, SuRF) through
+// MayContainRangeBatch vs the scalar MayContainRange loop. Before the
+// timed runs, one untimed pass per backend compares the batch and
+// scalar answers position by position and exits 1 at the first
+// mismatch. LSM: a multi-SST store probed key-at-a-time vs MultiGet,
+// then a second MultiGet pass over the same keys to show block-cache
+// hits.
 //
 // Defaults build a filter well past L2 size (8M keys at 20 bits/key
 // = 20 MB for bloomRF) so the prefetch pipeline, not the cache, is
 // measured. Writes BENCH_batch_probe.json (override with --out=PATH)
-// including the detected `simd` dispatch level and conservative
+// including the host's widest vector ISA (`simd`) and conservative
 // `guard` floors (0.8x of this run's measured bloomRF speedups) that
 // the CI perf-guard step compares its own smoke run against; --smoke
 // shrinks everything for CI. Guard floors in the committed JSON come
@@ -80,6 +83,23 @@ PointResult BenchPointBackend(const std::string& name,
   PointResult result;
   result.name = name;
 
+  // Untimed answer check: the batch must give the scalar answer at
+  // every position, not just the same number of positives.
+  auto out = std::make_unique<bool[]>(kBatchChunk);
+  for (size_t base = 0; base < queries.size(); base += kBatchChunk) {
+    size_t n = std::min(kBatchChunk, queries.size() - base);
+    filter->MayContainBatch({queries.data() + base, n}, out.get());
+    for (size_t j = 0; j < n; ++j) {
+      if (out[j] != filter->MayContain(queries[base + j])) {
+        std::fprintf(stderr,
+                     "BUG: %s point batch/scalar disagree at index %zu "
+                     "(key %" PRIu64 ")\n",
+                     name.c_str(), base + j, queries[base + j]);
+        std::exit(1);
+      }
+    }
+  }
+
   // Best of two timed runs per mode: the first run doubles as warmup,
   // and taking the max Mops trims one-sided scheduler noise equally
   // from both sides of the speedup ratio.
@@ -94,8 +114,7 @@ PointResult BenchPointBackend(const std::string& name,
         std::max(result.scalar_mops, Mops(queries.size(), timer.ElapsedSeconds()));
   }
 
-  // Batched: plan + prefetch + SIMD probe, one chunk at a time.
-  auto out = std::make_unique<bool[]>(kBatchChunk);
+  // Batched: plan + prefetch + scalar probe, one chunk at a time.
   uint64_t batch_positives = 0;
   for (int run = 0; run < 2; ++run) {
     batch_positives = 0;
@@ -153,6 +172,23 @@ RangeResult BenchRangeBackend(const std::string& name,
   RangeResult result;
   result.name = name;
 
+  // Untimed answer check, as for points.
+  auto out = std::make_unique<bool[]>(kBatchChunk);
+  for (size_t base = 0; base < los.size(); base += kBatchChunk) {
+    size_t n = std::min(kBatchChunk, los.size() - base);
+    filter->MayContainRangeBatch({los.data() + base, n},
+                                 {his.data() + base, n}, out.get());
+    for (size_t j = 0; j < n; ++j) {
+      if (out[j] != filter->MayContainRange(los[base + j], his[base + j])) {
+        std::fprintf(stderr,
+                     "BUG: %s range batch/scalar disagree at index %zu "
+                     "([%" PRIu64 ", %" PRIu64 "])\n",
+                     name.c_str(), base + j, los[base + j], his[base + j]);
+        std::exit(1);
+      }
+    }
+  }
+
   // Best of three timed runs per mode (see BenchPointBackend; the
   // slow trie/doubting backends need the extra rep for a stable max).
   uint64_t scalar_positives = 0;
@@ -167,7 +203,6 @@ RangeResult BenchRangeBackend(const std::string& name,
         std::max(result.scalar_mops, Mops(los.size(), timer.ElapsedSeconds()));
   }
 
-  auto out = std::make_unique<bool[]>(kBatchChunk);
   uint64_t batch_positives = 0;
   for (int run = 0; run < 3; ++run) {
     batch_positives = 0;

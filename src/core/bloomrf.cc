@@ -5,7 +5,6 @@
 
 #include "util/coding.h"
 #include "util/hash.h"
-#include "util/simd.h"
 
 namespace bloomrf {
 
@@ -92,17 +91,12 @@ void BloomRF::Insert(uint64_t key) {
 }
 
 uint64_t BloomRF::LoadWordAnd(const Layer& layer, uint64_t word_key) const {
-  return LoadWordAndFromHash(layer, Hash64(word_key, layer.seed_base));
-}
-
-uint64_t BloomRF::LoadWordAndFromHash(const Layer& layer,
-                                      uint64_t hash) const {
   const BitArray& seg = segments_[layer.segment];
+  uint64_t h = Hash64(word_key, layer.seed_base);
   uint64_t word =
-      seg.LoadWord(SlotFromHash(hash, 0, layer.num_slots), layer.word_bits);
+      seg.LoadWord(SlotFromHash(h, 0, layer.num_slots), layer.word_bits);
   for (uint32_t r = 1; r < layer.replicas && word != 0; ++r) {
-    word &= seg.LoadWord(SlotFromHash(hash, r, layer.num_slots),
-                         layer.word_bits);
+    word &= seg.LoadWord(SlotFromHash(h, r, layer.num_slots), layer.word_bits);
   }
   return word;
 }
@@ -159,48 +153,32 @@ void BloomRF::MayContainBatch(std::span<const uint64_t> keys,
                               bool* out) const {
   if (keys.empty()) return;
   // One probe slot per (layer, replica); the planning pass resolves
-  // each slot of each key to a final (block index, bit mask) pair so
-  // the probe pass is nothing but SIMD gather-tests.
+  // each slot of each key to its final bit position, so the probe pass
+  // neither hashes nor derives slots.
   const size_t num_layers = layers_.size();
   std::vector<uint32_t> slot_base(num_layers);
-  std::vector<const uint64_t*> seg_raw(num_layers);
   size_t num_slots = 0;
   for (size_t i = 0; i < num_layers; ++i) {
     slot_base[i] = static_cast<uint32_t>(num_slots);
     num_slots += layers_[i].replicas;
-    seg_raw[i] = segments_[layers_[i].segment].raw_blocks();
   }
-  const uint64_t* exact_raw =
-      config_.has_exact_layer ? exact_.raw_blocks() : nullptr;
-  // Lane-group layout: lanes of one (layer, replica) slot are adjacent
-  // across keys, so a group of 4 keys feeds one gather.
-  std::vector<uint64_t> idx(num_slots * kProbeStripe, 0);
-  std::vector<uint64_t> msk(num_slots * kProbeStripe, 0);
-  std::vector<uint64_t> exact_idx(kProbeStripe, 0);
-  std::vector<uint64_t> exact_msk(kProbeStripe, 0);
+  std::vector<uint64_t> pos(num_slots * kProbeStripe);  // key-major
+  uint64_t exact_pos[kProbeStripe] = {};
 
   for (size_t base = 0; base < keys.size(); base += kProbeStripe) {
     const size_t stripe = std::min(kProbeStripe, keys.size() - base);
-    if (stripe < kProbeStripe) {
-      // Zero-pad the tail lanes: mask 0 never tests positive and block
-      // 0 is always in bounds, so partial lane groups stay safe.
-      std::fill(idx.begin(), idx.end(), 0);
-      std::fill(msk.begin(), msk.end(), 0);
-      std::fill(exact_idx.begin(), exact_idx.end(), 0);
-      std::fill(exact_msk.begin(), exact_msk.end(), 0);
-    }
     // Pass 1: hash every (key, layer) word key once, derive each
-    // replica's final probe block, and start pulling it into cache.
+    // replica's bit position, and start pulling its block into cache.
     for (size_t j = 0; j < stripe; ++j) {
       uint64_t key = keys[base + j];
-      if (exact_raw != nullptr) {
-        uint64_t pos = Shr(key, top_level_);
-        exact_idx[j] = pos >> 6;
-        exact_msk[j] = uint64_t{1} << (pos & 63);
-        exact_.PrefetchBit(pos);
+      uint64_t* key_pos = &pos[j * num_slots];
+      if (config_.has_exact_layer) {
+        exact_pos[j] = Shr(key, top_level_);
+        exact_.PrefetchBit(exact_pos[j]);
       }
       for (size_t i = 0; i < num_layers; ++i) {
         const Layer& layer = layers_[i];
+        const BitArray& seg = segments_[layer.segment];
         uint64_t word_key = Shr(key, layer.level + layer.offset_bits);
         uint64_t h = Hash64(word_key, layer.seed_base);
         uint64_t offset = Shr(key, layer.level) & (layer.word_bits - 1);
@@ -210,31 +188,24 @@ void BloomRF::MayContainBatch(std::span<const uint64_t> keys,
         for (uint32_t r = 0; r < layer.replicas; ++r) {
           uint64_t bitpos =
               SlotFromHash(h, r, layer.num_slots) * layer.word_bits + offset;
-          size_t lane = (slot_base[i] + r) * kProbeStripe + j;
-          idx[lane] = bitpos >> 6;
-          msk[lane] = uint64_t{1} << (bitpos & 63);
-          segments_[layer.segment].PrefetchBlock(bitpos >> 6);
+          key_pos[slot_base[i] + r] = bitpos;
+          seg.PrefetchBit(bitpos);
         }
       }
     }
-    // Pass 2: the same tests the scalar MayContain runs (exact layer,
-    // then layers top-down), 4 keys per SIMD lane group with
-    // group-level early exit, on lines already in flight.
-    for (size_t g = 0; g < stripe; g += 4) {
-      uint32_t alive = 0xF;
-      if (exact_raw != nullptr) {
-        alive &= GatherTestNonzero4(exact_raw, &exact_idx[g], &exact_msk[g]);
-      }
-      for (size_t i = num_layers; alive != 0 && i-- > 0;) {
-        for (uint32_t r = 0; r < layers_[i].replicas && alive != 0; ++r) {
-          size_t lane = (slot_base[i] + r) * kProbeStripe + g;
-          alive &= GatherTestNonzero4(seg_raw[i], &idx[lane], &msk[lane]);
+    // Pass 2: the tests of the scalar MayContain in its order (exact
+    // layer, then layers top-down), key by key with early exit, on
+    // lines already in flight.
+    for (size_t j = 0; j < stripe; ++j) {
+      const uint64_t* key_pos = &pos[j * num_slots];
+      bool alive = !config_.has_exact_layer || exact_.TestBit(exact_pos[j]);
+      for (size_t i = num_layers; alive && i-- > 0;) {
+        const BitArray& seg = segments_[layers_[i].segment];
+        for (uint32_t r = 0; alive && r < layers_[i].replicas; ++r) {
+          alive = seg.TestBit(key_pos[slot_base[i] + r]);
         }
       }
-      const size_t lanes = std::min<size_t>(4, stripe - g);
-      for (size_t lane = 0; lane < lanes; ++lane) {
-        out[base + g + lane] = (alive >> lane) & 1;
-      }
+      out[base + j] = alive;
     }
   }
 }

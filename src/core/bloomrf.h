@@ -63,10 +63,11 @@ class BloomRF {
 
   /// Planned batch point probe: out[i] = MayContain(keys[i]), bit for
   /// bit. Runs in two passes per stripe of keys — a planning pass that
-  /// hashes each word key once, derives every replica's final probe
-  /// block by double hashing, and prefetches it; then a probe pass that
-  /// executes the word tests 4 keys per SIMD lane group (util/simd.h),
-  /// top-down with group-level early exit, on lines already in flight.
+  /// hashes each word key once, derives every replica's final bit
+  /// position by double hashing, and prefetches its block; then a
+  /// scalar probe pass that tests each key's planned bits in
+  /// MayContain's order (exact layer, then layers top-down), with
+  /// early exit, on lines already in flight.
   void MayContainBatch(std::span<const uint64_t> keys, bool* out) const;
 
   /// Planned batch range probe: out[i] = MayContainRange(los[i],
@@ -128,10 +129,6 @@ class BloomRF {
 
   /// Reads the AND of all replica words for `word_key` on `layer`.
   uint64_t LoadWordAnd(const Layer& layer, uint64_t word_key) const;
-
-  /// Same, from the already-computed base hash Hash64(word_key,
-  /// seed_base) — the probe pass of the planned engine.
-  uint64_t LoadWordAndFromHash(const Layer& layer, uint64_t hash) const;
 
   /// Keys per planning stripe: large enough that prefetches land
   /// before the probe pass reads them, small enough that the planned

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "filters/planned_gather.h"
 #include "util/coding.h"
 
 namespace bloomrf {
@@ -48,23 +47,18 @@ bool BlockedBloomFilter::MayContain(uint64_t key) const {
 
 void BlockedBloomFilter::MayContainBatch(std::span<const uint64_t> keys,
                                          bool* out) const {
-  // Plan: one hash pair and ONE line prefetch per key — all k probe
-  // blocks live in that line; probe: the shared SIMD lane-group
-  // engine.
-  RunPlannedGatherBatch(
-      keys, out, bits_.raw_blocks(), k_,
-      [&](uint64_t key, uint64_t* idx_col, uint64_t* msk_col) {
-        uint64_t h1 = Hash64(key, seed_);
-        uint64_t h2 = Hash64(key, seed_ ^ 0x5bd1e995);
-        uint64_t line_base = LineOf(h1) * kLineBits;
-        bits_.PrefetchBit(line_base);
-        for (uint32_t i = 0; i < k_; ++i) {
-          uint64_t pos =
-              line_base + (DoubleHashProbe(h2, h2 >> 32, i) & (kLineBits - 1));
-          idx_col[i * kPlannedGatherStripe] = pos >> 6;
-          msk_col[i * kPlannedGatherStripe] = uint64_t{1} << (pos & 63);
-        }
-      });
+  // All k probe bits of a key live in one line: prefetch a stripe's
+  // lines, then probe each key with the scalar early-exit loop.
+  constexpr size_t kStripe = 32;
+  for (size_t base = 0; base < keys.size(); base += kStripe) {
+    const size_t stripe = std::min(kStripe, keys.size() - base);
+    for (size_t j = 0; j < stripe; ++j) {
+      bits_.PrefetchBit(LineOf(Hash64(keys[base + j], seed_)) * kLineBits);
+    }
+    for (size_t j = 0; j < stripe; ++j) {
+      out[base + j] = MayContain(keys[base + j]);
+    }
+  }
 }
 
 std::string BlockedBloomFilter::Serialize() const {

@@ -2,9 +2,8 @@
 // key hashes to one 512-bit cache line and all k probe bits live
 // inside it, so a point probe costs exactly one memory access. The
 // locality trades a little FPR (keys sharing a saturated line) for a
-// probe path that batches perfectly: the planned engine prefetches one
-// line per key and the SIMD lane-group kernel tests four keys per
-// gather against blocks that are all L1-resident by then.
+// probe path that batches perfectly: the batch prefetches one line per
+// key, and the scalar probe then finds every bit it tests in that line.
 
 #ifndef BLOOMRF_FILTERS_BLOCKED_BLOOM_FILTER_H_
 #define BLOOMRF_FILTERS_BLOCKED_BLOOM_FILTER_H_
@@ -31,8 +30,8 @@ class BlockedBloomFilter : public OnlineFilter {
   void Insert(uint64_t key) override;
   bool MayContain(uint64_t key) const override;
 
-  /// Planned batch probe: one line prefetch per key, then 4 keys per
-  /// SIMD lane group per probe round.
+  /// Planned batch probe: one line prefetch per key for a stripe of
+  /// keys, then MayContain for each.
   void MayContainBatch(std::span<const uint64_t> keys,
                        bool* out) const override;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "filters/planned_gather.h"
 #include "util/coding.h"
 #include "util/hash.h"
 
@@ -44,62 +43,30 @@ bool BloomFilter::MayContain(uint64_t key) const {
 
 void BloomFilter::MayContainBatch(std::span<const uint64_t> keys,
                                   bool* out) const {
-  // Two planned regimes, both KM-hashing each key exactly once:
-  //
-  //  - Filter within reach of the cache hierarchy (<= 8 MB): resolve
-  //    all k probe positions to (block, mask) pairs up front, prefetch
-  //    every line, and test 4 keys per SIMD lane group with
-  //    group-level early exit. Lines are cheap here; latency hiding
-  //    and the vector word tests dominate.
-  //
-  //  - Memory-sized filter: planning cannot win by prefetching all k
-  //    lines — the scalar loop's early exit reads barely half of them,
-  //    so exhaustive prefetch pays more bandwidth than it hides
-  //    latency (the 0.998x regression this PR fixes). Fall back to the
-  //    scalar early-exit probe, keeping the stored hashes and a
-  //    prefetch of each key's first probe line only: the line every
-  //    query must read is in flight, and the exit path stays intact.
-  constexpr uint64_t kFullPrefetchBytes = 8 << 20;
-  const uint64_t* raw = bits_.raw_blocks();
+  // Hash each key once and prefetch only its first probe line, then run
+  // the scalar early-exit probe on the stored hashes. Prefetching all k
+  // lines would pay bandwidth for lines the early exit never reads: an
+  // absent key stops after about two probes.
+  constexpr size_t kStripe = 32;
   const uint64_t nbits = bits_.size_bits();
-
-  if (bits_.size_bytes() > kFullPrefetchBytes) {
-    constexpr size_t kStripe = kPlannedGatherStripe;
-    uint64_t h1s[kStripe];
-    uint64_t h2s[kStripe];
-    for (size_t base = 0; base < keys.size(); base += kStripe) {
-      const size_t stripe = std::min(kStripe, keys.size() - base);
-      for (size_t j = 0; j < stripe; ++j) {
-        h1s[j] = Hash64(keys[base + j], seed_);
-        h2s[j] = Hash64(keys[base + j], seed_ ^ 0x5bd1e995);
-        bits_.PrefetchBit(FastRange64(h1s[j], nbits));
-      }
-      for (size_t j = 0; j < stripe; ++j) {
-        bool alive = true;
-        for (uint32_t i = 0; alive && i < k_; ++i) {
-          uint64_t pos = FastRange64(DoubleHashProbe(h1s[j], h2s[j], i), nbits);
-          alive = (raw[pos >> 6] >> (pos & 63)) & 1;
-        }
-        out[base + j] = alive;
-      }
+  uint64_t h1s[kStripe] = {};
+  uint64_t h2s[kStripe] = {};
+  for (size_t base = 0; base < keys.size(); base += kStripe) {
+    const size_t stripe = std::min(kStripe, keys.size() - base);
+    for (size_t j = 0; j < stripe; ++j) {
+      h1s[j] = Hash64(keys[base + j], seed_);
+      h2s[j] = Hash64(keys[base + j], seed_ ^ 0x5bd1e995);
+      bits_.PrefetchBit(FastRange64(h1s[j], nbits));
     }
-    return;
+    for (size_t j = 0; j < stripe; ++j) {
+      bool alive = true;
+      for (uint32_t i = 0; alive && i < k_; ++i) {
+        alive = bits_.TestBit(
+            FastRange64(DoubleHashProbe(h1s[j], h2s[j], i), nbits));
+      }
+      out[base + j] = alive;
+    }
   }
-
-  // Plan: hash once, store every round's block + mask, prefetch
-  // everything; probe: the shared SIMD lane-group engine.
-  RunPlannedGatherBatch(
-      keys, out, raw, k_,
-      [&](uint64_t key, uint64_t* idx_col, uint64_t* msk_col) {
-        uint64_t h1 = Hash64(key, seed_);
-        uint64_t h2 = Hash64(key, seed_ ^ 0x5bd1e995);
-        for (uint32_t i = 0; i < k_; ++i) {
-          uint64_t pos = FastRange64(DoubleHashProbe(h1, h2, i), nbits);
-          idx_col[i * kPlannedGatherStripe] = pos >> 6;
-          msk_col[i * kPlannedGatherStripe] = uint64_t{1} << (pos & 63);
-          bits_.PrefetchBlock(pos >> 6);
-        }
-      });
 }
 
 std::string BloomFilter::Serialize() const {

@@ -27,12 +27,10 @@ class BloomFilter : public OnlineFilter {
   void Insert(uint64_t key) override;
   bool MayContain(uint64_t key) const override;
 
-  /// Planned batch probe, KM-hashing each key exactly once. Filters up
-  /// to 8 MB resolve all k probe positions up front, prefetch every
-  /// line, and test 4 keys per SIMD lane group; larger filters fall
-  /// back to the scalar early-exit probe with only each key's first
-  /// probe line prefetched (exhaustive prefetch costs more bandwidth
-  /// than it hides latency there).
+  /// Planned batch probe, KM-hashing each key exactly once: a stripe
+  /// of keys is hashed and each key's first probe line prefetched, then
+  /// the scalar early-exit probe runs on the stored hashes. One regime
+  /// for every filter size.
   void MayContainBatch(std::span<const uint64_t> keys,
                        bool* out) const override;
 

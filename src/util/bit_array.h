@@ -77,10 +77,11 @@ class BitArray {
     return blocks_[block_idx].load(std::memory_order_relaxed);
   }
 
-  /// Read-only view of the backing 64-bit blocks for the SIMD gather
-  /// kernels (util/simd.h). Reads through this pointer are plain loads
-  /// of lock-free atomics — equivalent to the relaxed LoadBlock reads,
-  /// so concurrent Insert keeps the no-false-negative contract.
+  /// Read-only view of the backing 64-bit blocks for bloomRF's lockstep
+  /// range batch, which tests compiled (block, shift, mask) units.
+  /// Reads through this pointer are plain loads of lock-free atomics —
+  /// equivalent to the relaxed LoadBlock reads, so concurrent Insert
+  /// keeps the no-false-negative contract.
   const uint64_t* raw_blocks() const {
     static_assert(sizeof(std::atomic<uint64_t>) == sizeof(uint64_t));
     static_assert(std::atomic<uint64_t>::is_always_lock_free);

@@ -1,12 +1,12 @@
 // Portable cache-prefetch hint used by the planned-probe engine.
 //
 // The batch probe paths (BloomRF::MayContainBatch and the per-backend
-// overrides) are two-pass: a planning pass computes every memory
-// coordinate a probe will touch and issues PrefetchRead for the
-// containing cache line, then a probe pass executes the actual word
-// tests. By the time the second pass runs, the lines of ~a stripe of
-// keys are in flight, so the dependent loads that dominate the scalar
-// path overlap instead of serializing.
+// overrides) are two-pass: a planning pass computes the memory
+// coordinates a probe will touch and issues PrefetchRead for their
+// cache lines, then a probe pass executes the actual word tests. By
+// the time the second pass runs, the lines of ~a stripe of keys are in
+// flight, so the dependent loads that dominate the scalar path overlap
+// instead of serializing.
 
 #ifndef BLOOMRF_UTIL_PREFETCH_H_
 #define BLOOMRF_UTIL_PREFETCH_H_

@@ -1,164 +1,16 @@
 #include "util/simd.h"
 
-#include <cstdlib>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define BLOOMRF_SIMD_X86 1
-#if defined(__GNUC__) || defined(__clang__)
-#include <immintrin.h>
-#define BLOOMRF_SIMD_AVX2_KERNELS 1
-#endif
-#elif defined(__aarch64__)
-#define BLOOMRF_SIMD_NEON_KERNELS 1
-#include <arm_neon.h>
-#endif
-
 namespace bloomrf {
 
-namespace {
-
-// ------------------------------------------------------------- scalar
-
-uint32_t GatherTestNonzero4Scalar(const uint64_t* base, const uint64_t* idx,
-                                  const uint64_t* mask) {
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>((base[idx[i]] & mask[i]) != 0) << i;
-  }
-  return out;
-}
-
-uint32_t GatherTestNonzero8Scalar(const uint64_t* base, const uint64_t* idx,
-                                  const uint64_t* mask) {
-  return GatherTestNonzero4Scalar(base, idx, mask) |
-         (GatherTestNonzero4Scalar(base, idx + 4, mask + 4) << 4);
-}
-
-// -------------------------------------------------------------- AVX2
-
-#if defined(BLOOMRF_SIMD_AVX2_KERNELS)
-
-// Compiled with the target attribute so the library builds without a
-// global -mavx2; the dispatcher only installs these after
-// __builtin_cpu_supports("avx2") confirms the ISA.
-__attribute__((target("avx2"))) uint32_t GatherTestNonzero4Avx2(
-    const uint64_t* base, const uint64_t* idx, const uint64_t* mask) {
-  __m256i vidx =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-  __m256i gathered = _mm256_i64gather_epi64(
-      reinterpret_cast<const long long*>(base), vidx, 8);
-  __m256i vmask =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask));
-  __m256i zeroed =
-      _mm256_cmpeq_epi64(_mm256_and_si256(gathered, vmask),
-                         _mm256_setzero_si256());
-  uint32_t zero_lanes = static_cast<uint32_t>(
-      _mm256_movemask_pd(_mm256_castsi256_pd(zeroed)));
-  return ~zero_lanes & 0xFu;
-}
-
-__attribute__((target("avx2"))) uint32_t GatherTestNonzero8Avx2(
-    const uint64_t* base, const uint64_t* idx, const uint64_t* mask) {
-  const long long* b = reinterpret_cast<const long long*>(base);
-  __m256i g0 = _mm256_i64gather_epi64(
-      b, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), 8);
-  __m256i g1 = _mm256_i64gather_epi64(
-      b, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + 4)), 8);
-  __m256i zero = _mm256_setzero_si256();
-  __m256i z0 = _mm256_cmpeq_epi64(
-      _mm256_and_si256(
-          g0, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask))),
-      zero);
-  __m256i z1 = _mm256_cmpeq_epi64(
-      _mm256_and_si256(
-          g1,
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + 4))),
-      zero);
-  uint32_t zero_lanes =
-      static_cast<uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(z0))) |
-      (static_cast<uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(z1)))
-       << 4);
-  return ~zero_lanes & 0xFFu;
-}
-
-#endif  // BLOOMRF_SIMD_AVX2_KERNELS
-
-// -------------------------------------------------------------- NEON
-
-#if defined(BLOOMRF_SIMD_NEON_KERNELS)
-
-// AArch64 has no 64-bit gather; the loads stay scalar and the mask
-// tests run two lanes at a time (vtstq: lane-wise (a & b) != 0).
-uint32_t GatherTestNonzero4Neon(const uint64_t* base, const uint64_t* idx,
-                                const uint64_t* mask) {
-  uint64x2_t lo = {base[idx[0]], base[idx[1]]};
-  uint64x2_t hi = {base[idx[2]], base[idx[3]]};
-  uint64x2_t t0 = vtstq_u64(lo, vld1q_u64(mask));
-  uint64x2_t t1 = vtstq_u64(hi, vld1q_u64(mask + 2));
-  return static_cast<uint32_t>(vgetq_lane_u64(t0, 0) & 1) |
-         (static_cast<uint32_t>(vgetq_lane_u64(t0, 1) & 1) << 1) |
-         (static_cast<uint32_t>(vgetq_lane_u64(t1, 0) & 1) << 2) |
-         (static_cast<uint32_t>(vgetq_lane_u64(t1, 1) & 1) << 3);
-}
-
-uint32_t GatherTestNonzero8Neon(const uint64_t* base, const uint64_t* idx,
-                                const uint64_t* mask) {
-  return GatherTestNonzero4Neon(base, idx, mask) |
-         (GatherTestNonzero4Neon(base, idx + 4, mask + 4) << 4);
-}
-
-#endif  // BLOOMRF_SIMD_NEON_KERNELS
-
-// --------------------------------------------------------- dispatcher
-
-struct Dispatch {
-  SimdLevel level;
-  uint32_t (*gather_test4)(const uint64_t*, const uint64_t*,
-                           const uint64_t*);
-  uint32_t (*gather_test8)(const uint64_t*, const uint64_t*,
-                           const uint64_t*);
-};
-
-Dispatch MakeDispatch(SimdLevel level) {
-#if defined(BLOOMRF_SIMD_AVX2_KERNELS)
-  if (level == SimdLevel::kAvx2 && DetectSimdLevel() == SimdLevel::kAvx2) {
-    return {SimdLevel::kAvx2, &GatherTestNonzero4Avx2,
-            &GatherTestNonzero8Avx2};
-  }
-#endif
-#if defined(BLOOMRF_SIMD_NEON_KERNELS)
-  if (level == SimdLevel::kNeon && DetectSimdLevel() == SimdLevel::kNeon) {
-    return {SimdLevel::kNeon, &GatherTestNonzero4Neon,
-            &GatherTestNonzero8Neon};
-  }
-#endif
-  return {SimdLevel::kScalar, &GatherTestNonzero4Scalar,
-          &GatherTestNonzero8Scalar};
-}
-
-SimdLevel StartupLevel() {
-  const char* force = std::getenv("BLOOMRF_FORCE_SCALAR");
-  if (force != nullptr && force[0] == '1') return SimdLevel::kScalar;
-  return DetectSimdLevel();
-}
-
-Dispatch& ActiveDispatch() {
-  static Dispatch dispatch = MakeDispatch(StartupLevel());
-  return dispatch;
-}
-
-}  // namespace
-
-SimdLevel DetectSimdLevel() {
-#if defined(BLOOMRF_SIMD_AVX2_KERNELS)
+SimdLevel ActiveSimdLevel() {
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#elif defined(BLOOMRF_SIMD_NEON_KERNELS)
+#elif defined(__aarch64__)
   return SimdLevel::kNeon;
 #endif
   return SimdLevel::kScalar;
 }
-
-SimdLevel ActiveSimdLevel() { return ActiveDispatch().level; }
 
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
@@ -170,24 +22,6 @@ const char* SimdLevelName(SimdLevel level) {
       return "scalar";
   }
   return "scalar";
-}
-
-void SetSimdLevelForTesting(SimdLevel level) {
-  ActiveDispatch() = MakeDispatch(level);
-}
-
-void ClearSimdLevelForTesting() {
-  ActiveDispatch() = MakeDispatch(StartupLevel());
-}
-
-uint32_t GatherTestNonzero4(const uint64_t* base, const uint64_t* idx,
-                            const uint64_t* mask) {
-  return ActiveDispatch().gather_test4(base, idx, mask);
-}
-
-uint32_t GatherTestNonzero8(const uint64_t* base, const uint64_t* idx,
-                            const uint64_t* mask) {
-  return ActiveDispatch().gather_test8(base, idx, mask);
 }
 
 }  // namespace bloomrf

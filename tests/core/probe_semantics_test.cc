@@ -1,8 +1,14 @@
 // Probe-semantics edge cases of the two-path range algorithm: domain
-// boundaries, conservative caps, early stopping, and the covering/
-// decomposition accounting exposed through ProbeStats.
+// boundaries, conservative caps, early stopping, the covering/
+// decomposition accounting exposed through ProbeStats, and batch
+// probes answering like scalar ones on configs the filter registry
+// never builds.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "core/bloomrf.h"
 #include "tests/test_util.h"
@@ -11,6 +17,7 @@ namespace bloomrf {
 namespace {
 
 using ::bloomrf::testing::RandomKeySet;
+using ::bloomrf::testing::RangeEnd;
 
 TEST(ProbeSemanticsTest, DomainBoundaryRanges) {
   BloomRF filter(BloomRFConfig::Basic(100, 16.0));
@@ -135,6 +142,57 @@ TEST(ProbeSemanticsTest, StatsAccumulateAcrossCalls) {
   uint64_t after_one = stats.bit_probes;
   filter.MayContain(42, &stats);
   EXPECT_EQ(stats.bit_probes, 2 * after_one);
+}
+
+// The registry builds advisor-tuned configs only, which at this size
+// have an exact layer and at most 2 replicas per layer. Basic has no
+// exact layer, so the point plan skips it. The replicated variant puts
+// 3 replicas on the bottom layer and 5 on the top one; 5 exceeds the
+// lockstep range engine's per-unit cap of 4, so its per-query scalar
+// fallback runs.
+TEST(ProbeSemanticsTest, BatchProbesMatchScalarOnUnadvisedConfigs) {
+  BloomRFConfig basic = BloomRFConfig::Basic(3000, 16.0);
+  BloomRFConfig replicated = basic;
+  replicated.replicas.front() = 3;
+  replicated.replicas.back() = 5;
+  auto key_set = RandomKeySet(3000, 0xba7c4);
+  std::vector<uint64_t> keys(key_set.begin(), key_set.end());
+  for (const BloomRFConfig& cfg : {basic, replicated}) {
+    ASSERT_TRUE(cfg.Validate().empty()) << cfg.DebugString();
+    ASSERT_FALSE(cfg.has_exact_layer);
+    BloomRF filter(cfg);
+    for (uint64_t k : keys) filter.Insert(k);
+    Rng rng(0x9e3);
+    for (size_t batch_size : {0, 1, 31, 32, 33, 1001}) {
+      // Present keys, their successors and random keys; ranges of
+      // widths 2^0..2^19 around present or random anchors.
+      std::vector<uint64_t> probes, los, his;
+      for (size_t i = 0; i < batch_size; ++i) {
+        uint64_t anchor =
+            (i % 2 == 0) ? keys[rng.Uniform(keys.size())] : rng.Next();
+        probes.push_back(i % 4 == 2 ? anchor + 1 : anchor);
+        uint64_t width = uint64_t{1} << rng.Uniform(20);
+        uint64_t lo = anchor - std::min(anchor, width / 2);
+        los.push_back(lo);
+        his.push_back(RangeEnd(lo, width));
+      }
+      auto point_out = std::make_unique<bool[]>(batch_size + 1);
+      auto range_out = std::make_unique<bool[]>(batch_size + 1);
+      point_out[batch_size] = range_out[batch_size] = true;  // canaries
+      filter.MayContainBatch(probes, point_out.get());
+      filter.MayContainRangeBatch(los, his, range_out.get());
+      for (size_t i = 0; i < batch_size; ++i) {
+        ASSERT_EQ(point_out[i], filter.MayContain(probes[i]))
+            << cfg.DebugString() << " batch_size=" << batch_size
+            << " i=" << i << " key=" << probes[i];
+        ASSERT_EQ(range_out[i], filter.MayContainRange(los[i], his[i]))
+            << cfg.DebugString() << " batch_size=" << batch_size
+            << " i=" << i << " [" << los[i] << ", " << his[i] << "]";
+      }
+      EXPECT_TRUE(point_out[batch_size]);
+      EXPECT_TRUE(range_out[batch_size]);
+    }
+  }
 }
 
 }  // namespace
