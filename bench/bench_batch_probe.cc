@@ -1,24 +1,23 @@
-// Planned/batched probe throughput vs the scalar loop, plus LSM
+// Planned point-batch throughput vs the scalar loop, plus LSM
 // MultiGet vs N×Get with the shared block cache.
 //
 // Point probes: for each online backend (bloomRF, Bloom, BlockedBloom,
 // PrefixBloom, Cuckoo), probes the same query mix through the scalar
 // virtual loop and through the planned MayContainBatch (plan and
 // prefetch a stripe, then test in scalar code) in chunks, and reports
-// Mops + speedup. Range probes: every range-capable backend (bloomRF's
-// lockstep-planned descent, Rosetta, PrefixBloom, SuRF) through
-// MayContainRangeBatch vs the scalar MayContainRange loop. Before the
-// timed runs, one untimed pass per backend compares the batch and
-// scalar answers position by position and exits 1 at the first
-// mismatch. LSM: a multi-SST store probed key-at-a-time vs MultiGet,
-// then a second MultiGet pass over the same keys to show block-cache
-// hits.
+// Mops + speedup. Before the timed runs, one untimed pass per backend
+// compares the batch and scalar answers position by position and exits
+// 1 at the first mismatch. Range probes are not measured: no backend
+// overrides MayContainRangeBatch, which loops the scalar
+// MayContainRange. LSM: a multi-SST store probed key-at-a-time vs
+// MultiGet, then a second MultiGet pass over the same keys to show
+// block-cache hits.
 //
 // Defaults build a filter well past L2 size (8M keys at 20 bits/key
 // = 20 MB for bloomRF) so the prefetch pipeline, not the cache, is
 // measured. Writes BENCH_batch_probe.json (override with --out=PATH)
-// including the host's widest vector ISA (`simd`) and conservative
-// `guard` floors (0.8x of this run's measured bloomRF speedups) that
+// including the host's widest vector ISA (`simd`) and a conservative
+// `guard` floor (0.8x of this run's measured bloomRF point speedup) that
 // the CI perf-guard step compares its own smoke run against; --smoke
 // shrinks everything for CI. Guard floors in the committed JSON come
 // from a full-scale run, so refresh them (rerun this bench) when
@@ -142,95 +141,6 @@ PointResult BenchPointBackend(const std::string& name,
   return result;
 }
 
-struct RangeResult {
-  std::string name;
-  double scalar_mops = 0;
-  double batch_mops = 0;
-  double speedup = 0;
-};
-
-RangeResult BenchRangeBackend(const std::string& name,
-                              const std::vector<uint64_t>& keys,
-                              const std::vector<uint64_t>& sorted_keys,
-                              const std::vector<uint64_t>& los,
-                              const std::vector<uint64_t>& his,
-                              double bits_per_key, double max_range) {
-  const FilterRegistry::Entry* entry = FilterRegistry::Instance().Find(name);
-  FilterBuildParams params;
-  params.expected_keys = keys.size();
-  params.bits_per_key = bits_per_key;
-  params.max_range = max_range;
-  std::unique_ptr<PointRangeFilter> filter;
-  if (entry->online) {
-    auto online = entry->build_online(params);
-    for (uint64_t k : keys) online->Insert(k);
-    filter = std::move(online);
-  } else {
-    filter = entry->build_from_sorted_keys(sorted_keys, params);
-  }
-
-  RangeResult result;
-  result.name = name;
-
-  // Untimed answer check, as for points.
-  auto out = std::make_unique<bool[]>(kBatchChunk);
-  for (size_t base = 0; base < los.size(); base += kBatchChunk) {
-    size_t n = std::min(kBatchChunk, los.size() - base);
-    filter->MayContainRangeBatch({los.data() + base, n},
-                                 {his.data() + base, n}, out.get());
-    for (size_t j = 0; j < n; ++j) {
-      if (out[j] != filter->MayContainRange(los[base + j], his[base + j])) {
-        std::fprintf(stderr,
-                     "BUG: %s range batch/scalar disagree at index %zu "
-                     "([%" PRIu64 ", %" PRIu64 "])\n",
-                     name.c_str(), base + j, los[base + j], his[base + j]);
-        std::exit(1);
-      }
-    }
-  }
-
-  // Best of three timed runs per mode (see BenchPointBackend; the
-  // slow trie/doubting backends need the extra rep for a stable max).
-  uint64_t scalar_positives = 0;
-  Timer timer;
-  for (int run = 0; run < 3; ++run) {
-    scalar_positives = 0;
-    timer.Restart();
-    for (size_t q = 0; q < los.size(); ++q) {
-      scalar_positives += filter->MayContainRange(los[q], his[q]);
-    }
-    result.scalar_mops =
-        std::max(result.scalar_mops, Mops(los.size(), timer.ElapsedSeconds()));
-  }
-
-  uint64_t batch_positives = 0;
-  for (int run = 0; run < 3; ++run) {
-    batch_positives = 0;
-    timer.Restart();
-    for (size_t base = 0; base < los.size(); base += kBatchChunk) {
-      size_t n = std::min(kBatchChunk, los.size() - base);
-      filter->MayContainRangeBatch({los.data() + base, n},
-                                   {his.data() + base, n}, out.get());
-      for (size_t j = 0; j < n; ++j) batch_positives += out[j];
-    }
-    result.batch_mops =
-        std::max(result.batch_mops, Mops(los.size(), timer.ElapsedSeconds()));
-  }
-  result.speedup =
-      result.scalar_mops > 0 ? result.batch_mops / result.scalar_mops : 0;
-
-  if (scalar_positives != batch_positives) {
-    std::fprintf(stderr, "BUG: %s range scalar/batch disagree (%" PRIu64
-                 " vs %" PRIu64 ")\n",
-                 name.c_str(), scalar_positives, batch_positives);
-    std::exit(1);
-  }
-  std::printf("  %-14s scalar %7.2f Mops   batched %7.2f Mops   %.2fx\n",
-              name.c_str(), result.scalar_mops, result.batch_mops,
-              result.speedup);
-  return result;
-}
-
 }  // namespace
 }  // namespace bloomrf
 
@@ -253,7 +163,7 @@ int main(int argc, char** argv) {
     scale.queries = 250'000;
   }
   bench::Header("batch_probe",
-                "planned/batched probes vs scalar loop; LSM MultiGet", scale);
+                "planned point batches vs scalar loop; LSM MultiGet", scale);
 
   Rng rng(0xba7c4);
   std::vector<uint64_t> keys;
@@ -277,34 +187,6 @@ int main(int argc, char** argv) {
         BenchPointBackend(name, keys, queries, bits_per_key));
   }
 
-  // ---- Range probes per range-capable backend ------------------------
-  const uint64_t range_queries = std::max<uint64_t>(scale.queries / 8, 1000);
-  const uint64_t range_width = uint64_t{1} << 12;
-  std::vector<uint64_t> los, his;
-  los.reserve(range_queries);
-  his.reserve(range_queries);
-  for (uint64_t q = 0; q < range_queries; ++q) {
-    uint64_t anchor =
-        (q & 1) ? keys[rng.Uniform(keys.size())] : rng.Next();
-    uint64_t lo = anchor - std::min(anchor, rng.Uniform(range_width));
-    los.push_back(lo);
-    his.push_back(lo + range_width < lo ? UINT64_MAX : lo + range_width);
-  }
-  std::vector<uint64_t> sorted_keys = keys;
-  std::sort(sorted_keys.begin(), sorted_keys.end());
-  sorted_keys.erase(std::unique(sorted_keys.begin(), sorted_keys.end()),
-                    sorted_keys.end());
-  std::printf("range probes (width 2^12, %" PRIu64 " queries):\n",
-              range_queries);
-  std::vector<RangeResult> range_results;
-  for (const std::string& name : bench::FiltersOrDefault(
-           scale, {"bloomrf", "rosetta", "prefix_bloom", "surf"})) {
-    const FilterRegistry::Entry* entry = FilterRegistry::Instance().Find(name);
-    if (entry == nullptr || !entry->supports_ranges) continue;
-    range_results.push_back(
-        BenchRangeBackend(name, keys, sorted_keys, los, his, bits_per_key,
-                          static_cast<double>(range_width) * 4));
-  }
   Timer timer;
 
   // ---- LSM MultiGet vs N×Get -----------------------------------------
@@ -392,15 +274,6 @@ int main(int argc, char** argv) {
                  r.name.c_str(), r.scalar_mops, r.batch_mops, r.speedup,
                  i + 1 < point_results.size() ? "," : "");
   }
-  std::fprintf(json, "  ],\n  \"range\": [\n");
-  for (size_t i = 0; i < range_results.size(); ++i) {
-    const RangeResult& r = range_results[i];
-    std::fprintf(json,
-                 "    {\"filter\": \"%s\", \"scalar_mops\": %.3f, "
-                 "\"batch_mops\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.scalar_mops, r.batch_mops, r.speedup,
-                 i + 1 < range_results.size() ? "," : "");
-  }
   std::fprintf(json,
                "  ],\n  \"lsm\": {\"db_keys\": %" PRIu64 ", \"tables\": %zu, "
                "\"get_mops\": %.3f, \"multiget_mops\": %.3f, "
@@ -408,20 +281,15 @@ int main(int argc, char** argv) {
                "\"warm_cache_hit_rate\": %.3f},\n",
                db_keys, db.num_tables(), get_mops, multiget_mops, lsm_speedup,
                multiget_warm_mops, cache_hit_rate);
-  // Conservative floors (0.8x of this run's measured bloomRF speedups)
-  // for the CI perf-guard step: scripts/perf_guard.py fails the
-  // release-perf job when a smoke run drops below 0.9x of these.
-  double guard_point = 0, guard_range = 0;
+  // Conservative floor (0.8x of this run's measured bloomRF point
+  // speedup) for the CI perf-guard step: scripts/perf_guard.py fails
+  // the release-perf job when a smoke run drops below 0.9x of it.
+  double guard_point = 0;
   for (const PointResult& r : point_results) {
     if (r.name == "bloomrf") guard_point = r.speedup * 0.8;
   }
-  for (const RangeResult& r : range_results) {
-    if (r.name == "bloomrf") guard_range = r.speedup * 0.8;
-  }
-  std::fprintf(json,
-               "  \"guard\": {\"bloomrf_point_speedup\": %.3f, "
-               "\"bloomrf_range_speedup\": %.3f}\n}\n",
-               guard_point, guard_range);
+  std::fprintf(json, "  \"guard\": {\"bloomrf_point_speedup\": %.3f}\n}\n",
+               guard_point);
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

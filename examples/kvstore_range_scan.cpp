@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   // repeat is served by the block cache), and a sweep of empty ranges
   // the filters exclude without touching disk — all through ONE
   // Db::ScanRange call, so each SST's filter answers the whole batch
-  // via its planned MayContainRangeBatch.
+  // in one RangeMultiProbe (a scalar MayContainRange per range).
   db.ResetStats();
   std::vector<uint64_t> los, his;
   for (size_t q = 0; q < 64; ++q) {

@@ -6,7 +6,7 @@ repo's BENCH_*.json and fails (exit 1) when a measured ratio drops
 below `ratio` (default 0.9) of the committed floor. The bench type is
 dispatched on the committed file's "bench" field:
 
-  batch_probe     bench_batch_probe --smoke    bloomRF point/range batch
+  batch_probe     bench_batch_probe --smoke    bloomRF point-batch
                   speedup over the scalar loop.
   lsm_concurrent  bench_lsm_throughput --smoke ShardedDb MultiGet/
                   ScanRange/Put/mixed 1->8-thread scaling (8 shards),
@@ -55,8 +55,6 @@ def batch_probe_checks(current, committed):
     return [
         ("bloomrf point-batch speedup", speedup(current, "point", "bloomrf"),
          guard["bloomrf_point_speedup"]),
-        ("bloomrf range-batch speedup", speedup(current, "range", "bloomrf"),
-         guard["bloomrf_range_speedup"]),
     ]
 
 

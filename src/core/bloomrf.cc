@@ -108,21 +108,6 @@ bool BloomRF::TestPrefix(const Layer& layer, uint64_t p,
   return (LoadWordAnd(layer, word_key) >> ProbeOffsetFor(layer, p)) & 1ULL;
 }
 
-uint64_t BloomRF::WordMaskFor(const Layer& layer, uint64_t wk, uint64_t x,
-                              uint64_t y) const {
-  uint64_t base = wk << layer.offset_bits;
-  uint64_t lo_off = (x > base) ? x - base : 0;
-  uint64_t hi_off =
-      std::min<uint64_t>(y - base, layer.word_bits - 1);
-  if (WordReversed(layer, wk)) {
-    uint64_t new_lo = layer.word_bits - 1 - hi_off;
-    hi_off = layer.word_bits - 1 - lo_off;
-    lo_off = new_lo;
-  }
-  uint64_t width = hi_off - lo_off + 1;
-  return (width >= 64 ? ~0ULL : ((uint64_t{1} << width) - 1)) << lo_off;
-}
-
 bool BloomRF::TestPrefixRange(const Layer& layer, uint64_t x, uint64_t y,
                               uint64_t max_words, ProbeStats* stats) const {
   if (x > y) return false;
@@ -131,7 +116,20 @@ bool BloomRF::TestPrefixRange(const Layer& layer, uint64_t x, uint64_t y,
   if (last_word - first_word + 1 > max_words) return true;  // conservative
   for (uint64_t wk = first_word; wk <= last_word; ++wk) {
     if (stats) ++stats->word_probes;
-    if (LoadWordAnd(layer, wk) & WordMaskFor(layer, wk, x, y)) return true;
+    uint64_t word = LoadWordAnd(layer, wk);
+    // In-word mask of [x, y] restricted to word wk, permutation applied.
+    uint64_t base = wk << layer.offset_bits;
+    uint64_t lo_off = (x > base) ? x - base : 0;
+    uint64_t hi_off = std::min<uint64_t>(y - base, layer.word_bits - 1);
+    if (WordReversed(layer, wk)) {
+      uint64_t new_lo = layer.word_bits - 1 - hi_off;
+      hi_off = layer.word_bits - 1 - lo_off;
+      lo_off = new_lo;
+    }
+    uint64_t width = hi_off - lo_off + 1;
+    uint64_t mask = (width >= 64 ? ~0ULL : ((uint64_t{1} << width) - 1))
+                    << lo_off;
+    if (word & mask) return true;
   }
   return false;
 }
@@ -206,347 +204,6 @@ void BloomRF::MayContainBatch(std::span<const uint64_t> keys,
         }
       }
       out[base + j] = alive;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Lockstep batched range descent.
-//
-// All queries of a stripe descend the layer ladder together. At each
-// layer the engine first PLANS every live query — the word keys a
-// descent touches at a layer are a pure function of (lo, hi), the
-// split state, and which endpoint paths are still alive, so planning
-// hashes each word once, resolves every replica to a final (block,
-// shift, mask) probe unit, and prefetches the block — then TESTS the
-// compiled units on lines already in flight. Queries answered at a
-// layer retire immediately, so no deeper layer is planned for them:
-// the planned work tracks the scalar descent's early exits exactly,
-// one layer behind at most.
-//
-// Rare shapes the unit encoding cannot hold (a range splitting at the
-// exact layer, a top-layer middle scan wider than the unit buffer,
-// more replicas than kRangeMaxRep) fall back to the scalar
-// MayContainRange, so every answer matches the scalar probe bit for
-// bit by construction.
-
-namespace {
-
-constexpr uint32_t kRangeMaxRep = 4;    // replica cap of a probe unit
-constexpr uint32_t kRangeMaxUnits = 14;  // per (query, layer)
-
-/// One compiled word test: AND the (right-shifted) replica blocks,
-/// mask, test nonzero — exactly LoadWordAnd + mask of the scalar path.
-struct RangeUnit {
-  uint64_t mask;  // in-word mask, right-aligned
-  uint32_t nrep;
-  uint64_t blk[kRangeMaxRep];
-  uint32_t shift[kRangeMaxRep];
-};
-
-enum RangeShape : uint8_t { kCover = 0, kSplitLayer = 1, kPhase2 = 2 };
-
-struct RangeQuery {
-  uint64_t lo, hi;
-  uint32_t slot;  // index within the stripe (output position)
-  bool split, left_alive, right_alive;
-  // Current layer's compiled probes.
-  const uint64_t* seg;
-  uint32_t level;
-  uint8_t shape;
-  uint8_t n[4];  // group unit counts, in evaluation order
-  RangeUnit units[kRangeMaxUnits];
-};
-
-inline bool RangeUnitHit(const RangeQuery& q, const RangeUnit& u) {
-  uint64_t w = q.seg[u.blk[0]] >> u.shift[0];
-  for (uint32_t r = 1; r < u.nrep && w != 0; ++r) {
-    w &= q.seg[u.blk[r]] >> u.shift[r];
-  }
-  return (w & u.mask) != 0;
-}
-
-}  // namespace
-
-void BloomRF::MayContainRangeBatch(std::span<const uint64_t> los,
-                                   std::span<const uint64_t> his,
-                                   bool* out) const {
-  assert(los.size() == his.size());
-  if (los.empty()) return;
-  const size_t num_layers = layers_.size();
-
-  RangeQuery queries[kRangeStripe];
-  uint32_t alive[kRangeStripe];
-  uint32_t fallback[kRangeStripe];
-
-  // Emits the unit testing word `wk` against `in_mask` at `layer`;
-  // false when the unit buffer or replica cap is exceeded (fallback).
-  uint32_t emit_count = 0;
-  auto emit = [&](RangeQuery& q, const Layer& layer, uint64_t wk,
-                  uint64_t in_mask) {
-    if (layer.replicas > kRangeMaxRep || emit_count >= kRangeMaxUnits) {
-      return false;
-    }
-    RangeUnit& u = q.units[emit_count++];
-    u.mask = in_mask;
-    u.nrep = layer.replicas;
-    const BitArray& seg = segments_[layer.segment];
-    uint64_t h = Hash64(wk, layer.seed_base);
-    for (uint32_t r = 0; r < layer.replicas; ++r) {
-      uint64_t bitbase = SlotFromHash(h, r, layer.num_slots) * layer.word_bits;
-      u.blk[r] = bitbase >> 6;
-      u.shift[r] = static_cast<uint32_t>(bitbase & 63);
-      seg.PrefetchBlock(bitbase >> 6);
-    }
-    return true;
-  };
-  auto emit_bit = [&](RangeQuery& q, const Layer& layer, uint64_t p) {
-    return emit(q, layer, p >> layer.offset_bits,
-                uint64_t{1} << ProbeOffsetFor(layer, p));
-  };
-
-  // Plans layer `idx` of `q`. Returns: 0 planned, 1 answered (in
-  // *answer), 2 fallback.
-  auto plan_layer = [&](RangeQuery& q, size_t idx, bool* answer) -> int {
-    const Layer& layer = layers_[idx];
-    const uint32_t level = layer.level;
-    const uint32_t parent_level = (idx + 1 < num_layers)
-                                      ? layers_[idx + 1].level
-                                      : top_level_;
-    const uint64_t lp = Shr(q.lo, level);
-    const uint64_t rp = Shr(q.hi, level);
-    q.seg = segments_[layer.segment].raw_blocks();
-    q.level = level;
-    emit_count = 0;
-    q.n[0] = q.n[1] = q.n[2] = q.n[3] = 0;
-    if (!q.split) {
-      if (lp == rp) {
-        // Phase 1: single covering (Fig. 7).
-        q.shape = kCover;
-        if (!emit_bit(q, layer, lp)) return 2;
-        q.n[0] = 1;
-        return 0;
-      }
-      // The covering path splits within this layer's span. Middle
-      // prefixes [lp+1, rp-1] are decomposition DIs; the scan is
-      // capped when the parents already differ (topmost layer only).
-      q.shape = kSplitLayer;
-      uint64_t max_words = (Shr(q.lo, parent_level) == Shr(q.hi, parent_level))
-                               ? 2
-                               : config_.max_top_layer_words;
-      if (rp - lp >= 2) {
-        uint64_t x = lp + 1, y = rp - 1;
-        uint64_t first_word = x >> layer.offset_bits;
-        uint64_t last_word = y >> layer.offset_bits;
-        if (last_word - first_word + 1 > max_words) {
-          *answer = true;  // conservative, exactly like TestPrefixRange
-          return 1;
-        }
-        if (last_word - first_word + 1 > kRangeMaxUnits - 2) return 2;
-        for (uint64_t wk = first_word; wk <= last_word; ++wk) {
-          if (!emit(q, layer, wk, WordMaskFor(layer, wk, x, y))) return 2;
-        }
-        q.n[0] = static_cast<uint8_t>(emit_count);
-      }
-      if (!emit_bit(q, layer, lp) || !emit_bit(q, layer, rp)) return 2;
-      q.n[1] = 1;
-      q.n[2] = 1;
-      return 0;
-    }
-    // Phase 2: two independent key paths (see MayContainRange).
-    q.shape = kPhase2;
-    const uint32_t span = parent_level - level;
-    if (q.left_alive) {
-      uint64_t parent = Shr(q.lo, parent_level);
-      uint64_t end = (parent << span) | ((uint64_t{1} << span) - 1);
-      uint64_t start = (level == 0) ? lp : lp + 1;
-      if (start <= end) {
-        uint64_t first_word = start >> layer.offset_bits;
-        uint64_t last_word = end >> layer.offset_bits;
-        if (last_word - first_word + 1 > 4) {
-          *answer = true;
-          return 1;
-        }
-        for (uint64_t wk = first_word; wk <= last_word; ++wk) {
-          if (!emit(q, layer, wk, WordMaskFor(layer, wk, start, end))) {
-            return 2;
-          }
-        }
-        q.n[0] = static_cast<uint8_t>(emit_count);
-      }
-      if (level != 0) {
-        if (!emit_bit(q, layer, lp)) return 2;
-        q.n[1] = 1;
-      }
-    }
-    if (q.right_alive) {
-      uint64_t parent = Shr(q.hi, parent_level);
-      uint64_t start = parent << span;
-      uint64_t end = (level == 0) ? rp : rp - 1;
-      uint32_t before = emit_count;
-      if (start <= end) {
-        uint64_t first_word = start >> layer.offset_bits;
-        uint64_t last_word = end >> layer.offset_bits;
-        if (last_word - first_word + 1 > 4) {
-          *answer = true;
-          return 1;
-        }
-        for (uint64_t wk = first_word; wk <= last_word; ++wk) {
-          if (!emit(q, layer, wk, WordMaskFor(layer, wk, start, end))) {
-            return 2;
-          }
-        }
-        q.n[2] = static_cast<uint8_t>(emit_count - before);
-      }
-      if (level != 0) {
-        if (!emit_bit(q, layer, rp)) return 2;
-        q.n[3] = 1;
-      }
-    }
-    return 0;
-  };
-
-  // Tests the compiled units of `q`'s current layer, in scalar probe
-  // order. Returns true when the query is answered (in *answer).
-  auto test_layer = [](RangeQuery& q, bool* answer) {
-    const RangeUnit* u = q.units;
-    switch (q.shape) {
-      case kCover:
-        if (!RangeUnitHit(q, u[0])) {
-          *answer = false;
-          return true;
-        }
-        return false;
-      case kSplitLayer: {
-        for (uint32_t k = 0; k < q.n[0]; ++k) {
-          if (RangeUnitHit(q, *u++)) {
-            *answer = true;
-            return true;
-          }
-        }
-        q.left_alive = RangeUnitHit(q, *u++);
-        q.right_alive = RangeUnitHit(q, *u++);
-        if (q.level == 0) {
-          *answer = q.left_alive || q.right_alive;
-          return true;
-        }
-        if (!q.left_alive && !q.right_alive) {
-          *answer = false;
-          return true;
-        }
-        q.split = true;
-        return false;
-      }
-      default: {  // kPhase2
-        for (uint32_t k = 0; k < q.n[0]; ++k) {
-          if (RangeUnitHit(q, *u++)) {
-            *answer = true;
-            return true;
-          }
-        }
-        if (q.n[1] != 0) q.left_alive = RangeUnitHit(q, *u++);
-        for (uint32_t k = 0; k < q.n[2]; ++k) {
-          if (RangeUnitHit(q, *u++)) {
-            *answer = true;
-            return true;
-          }
-        }
-        if (q.n[3] != 0) q.right_alive = RangeUnitHit(q, *u++);
-        if (q.level == 0) {
-          *answer = false;
-          return true;
-        }
-        if (!q.left_alive && !q.right_alive) {
-          *answer = false;
-          return true;
-        }
-        return false;
-      }
-    }
-  };
-
-  for (size_t base = 0; base < los.size(); base += kRangeStripe) {
-    const size_t stripe = std::min(kRangeStripe, los.size() - base);
-    size_t n_alive = 0, n_fallback = 0;
-    // Admission + exact-layer plan: the descent's first test is the
-    // exact covering bit and needs no hashing. Point queries (lo ==
-    // hi) join the lockstep as always-covering descents — the same
-    // tests MayContain runs. Ranges splitting at the exact level are
-    // the one exact-layer shape the units cannot express: fall back.
-    for (size_t j = 0; j < stripe; ++j) {
-      uint64_t lo = los[base + j], hi = his[base + j];
-      if (lo > hi) {
-        out[base + j] = false;
-        continue;
-      }
-      if (config_.has_exact_layer) {
-        uint64_t lp = Shr(lo, top_level_), rp = Shr(hi, top_level_);
-        if (lp != rp) {
-          fallback[n_fallback++] = static_cast<uint32_t>(j);
-          continue;
-        }
-        exact_.PrefetchBit(lp);
-      }
-      RangeQuery& q = queries[n_alive];
-      q.lo = lo;
-      q.hi = hi;
-      q.slot = static_cast<uint32_t>(j);
-      q.split = false;
-      q.left_alive = q.right_alive = true;
-      alive[n_alive] = static_cast<uint32_t>(n_alive);
-      ++n_alive;
-    }
-    if (config_.has_exact_layer) {
-      size_t kept = 0;
-      for (size_t a = 0; a < n_alive; ++a) {
-        RangeQuery& q = queries[alive[a]];
-        if (exact_.TestBit(Shr(q.lo, top_level_))) {
-          alive[kept++] = alive[a];
-        } else {
-          out[base + q.slot] = false;
-        }
-      }
-      n_alive = kept;
-    }
-    // Lockstep descent: plan a layer for every live query, then test
-    // it on lines already in flight; retire answers between layers.
-    for (size_t idx = num_layers; n_alive != 0 && idx-- > 0;) {
-      size_t kept = 0;
-      for (size_t a = 0; a < n_alive; ++a) {
-        RangeQuery& q = queries[alive[a]];
-        bool answer;
-        switch (plan_layer(q, idx, &answer)) {
-          case 0:
-            alive[kept++] = alive[a];
-            break;
-          case 1:
-            out[base + q.slot] = answer;
-            break;
-          default:
-            fallback[n_fallback++] = q.slot;
-        }
-      }
-      n_alive = kept;
-      kept = 0;
-      for (size_t a = 0; a < n_alive; ++a) {
-        RangeQuery& q = queries[alive[a]];
-        bool answer;
-        if (test_layer(q, &answer)) {
-          out[base + q.slot] = answer;
-        } else {
-          alive[kept++] = alive[a];
-        }
-      }
-      n_alive = kept;
-    }
-    // Survivors passed every covering down to level 0: only point
-    // queries (lo == hi) can get here — a full MayContain positive.
-    for (size_t a = 0; a < n_alive; ++a) {
-      out[base + queries[alive[a]].slot] = true;
-    }
-    for (size_t f = 0; f < n_fallback; ++f) {
-      uint32_t j = fallback[f];
-      out[base + j] = MayContainRange(los[base + j], his[base + j]);
     }
   }
 }

@@ -55,7 +55,8 @@ class BloomRF {
   bool MayContain(uint64_t key, ProbeStats* stats) const;
 
   /// Approximate range emptiness over the inclusive interval [lo, hi]:
-  /// false means no inserted key lies in [lo, hi].
+  /// false means no inserted key lies in [lo, hi]. One dyadic descent
+  /// (Algorithm 1); batched range callers loop over it.
   bool MayContainRange(uint64_t lo, uint64_t hi) const {
     return MayContainRange(lo, hi, nullptr);
   }
@@ -69,19 +70,6 @@ class BloomRF {
   /// MayContain's order (exact layer, then layers top-down), with
   /// early exit, on lines already in flight.
   void MayContainBatch(std::span<const uint64_t> keys, bool* out) const;
-
-  /// Planned batch range probe: out[i] = MayContainRange(los[i],
-  /// his[i]). The planning pass walks the full dyadic descent of every
-  /// query without reading the filter — the word keys a descent can
-  /// touch are a pure function of (lo, hi) and the layer ladder — and
-  /// hashes each one once while prefetching all of its replica slots:
-  /// both endpoint paths plus the interior TestPrefixRange word masks
-  /// at every layer, not just the level-0 endpoints. The probe pass
-  /// then runs the exact scalar descent (same early exits, same
-  /// answers) consuming the precomputed hashes on lines already in
-  /// flight. `los` and `his` must have equal length.
-  void MayContainRangeBatch(std::span<const uint64_t> los,
-                            std::span<const uint64_t> his, bool* out) const;
 
   const BloomRFConfig& config() const { return config_; }
 
@@ -135,15 +123,8 @@ class BloomRF {
   /// lines are still resident.
   static constexpr size_t kProbeStripe = 32;
 
-  /// Queries per lockstep range stripe: a descent touches several
-  /// cache lines per layer, so the stripe is sized for one layer's
-  /// planned lines (stripe × ~10 lines) to stay L2-resident between
-  /// the plan and probe passes.
-  static constexpr size_t kRangeStripe = 32;
-
   /// In-word bit offset of prefix `p` at `layer`, with the PMHF word
-  /// permutation applied — shared by the scalar probes and the batch
-  /// planner so both test the same bit.
+  /// permutation applied.
   uint64_t ProbeOffsetFor(const Layer& layer, uint64_t p) const {
     uint64_t offset = p & (layer.word_bits - 1);
     if (WordReversed(layer, p >> layer.offset_bits)) {
@@ -151,12 +132,6 @@ class BloomRF {
     }
     return offset;
   }
-
-  /// In-word mask of the prefix range [x, y] restricted to word `wk`
-  /// at `layer` (permutation applied). `wk` must cover part of [x, y].
-  /// Shared by TestPrefixRange and the batch planner.
-  uint64_t WordMaskFor(const Layer& layer, uint64_t wk, uint64_t x,
-                       uint64_t y) const;
 
   /// Single-bit covering probe of prefix `p` at `layer`.
   bool TestPrefix(const Layer& layer, uint64_t p, ProbeStats* stats) const;

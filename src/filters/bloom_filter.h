@@ -11,7 +11,6 @@
 
 #include "filters/filter.h"
 #include "util/bit_array.h"
-#include "util/hash.h"
 
 namespace bloomrf {
 
@@ -40,18 +39,6 @@ class BloomFilter : public OnlineFilter {
   uint64_t MemoryBits() const override { return bits_.size_bits(); }
 
   uint32_t num_hashes() const { return k_; }
-
-  /// Starts pulling all k probe blocks of `key` into cache — the
-  /// planning half of a future MayContain(key) (used by Rosetta's
-  /// planned range batch to prefetch per-level probes).
-  void PrefetchKey(uint64_t key) const {
-    uint64_t h1 = Hash64(key, seed_);
-    uint64_t h2 = Hash64(key, seed_ ^ 0x5bd1e995);
-    for (uint32_t i = 0; i < k_; ++i) {
-      bits_.PrefetchBit(
-          FastRange64(DoubleHashProbe(h1, h2, i), bits_.size_bits()));
-    }
-  }
 
   /// Raw block access for the Fig. 5 scatter comparison.
   uint64_t Block(uint64_t i) const { return bits_.LoadBlock(i); }

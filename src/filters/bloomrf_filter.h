@@ -35,16 +35,12 @@ class BloomRFFilter : public OnlineFilter {
   bool MayContainRange(uint64_t lo, uint64_t hi) const override {
     return impl_.MayContainRange(lo, hi);
   }
-  /// Planned batch probes: one virtual call per batch, then the core
-  /// hash-once/prefetch engine (core/bloomrf.cc).
+  /// Planned batch point probe: one virtual call per batch, then the
+  /// core hash-once/prefetch engine (core/bloomrf.cc). Range batches
+  /// keep the base-class loop over MayContainRange.
   void MayContainBatch(std::span<const uint64_t> keys,
                        bool* out) const override {
     impl_.MayContainBatch(keys, out);
-  }
-  void MayContainRangeBatch(std::span<const uint64_t> los,
-                            std::span<const uint64_t> his,
-                            bool* out) const override {
-    impl_.MayContainRangeBatch(los, his, out);
   }
 
   uint64_t MemoryBits() const override { return impl_.MemoryBits(); }

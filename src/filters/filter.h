@@ -45,9 +45,9 @@ class PointRangeFilter {
   }
 
   /// Batched range probe: out[i] is the MayContainRange answer for
-  /// [los[i], his[i]]. `los` and `his` must have equal length. The
-  /// default loops; bloomRF overrides with a planned (prefetching)
-  /// probe.
+  /// [los[i], his[i]]. `los` and `his` must have equal length. No
+  /// backend overrides this loop: on SST-sized filters every planned
+  /// range batch measured slower than its own scalar descent.
   virtual void MayContainRangeBatch(std::span<const uint64_t> los,
                                     std::span<const uint64_t> his,
                                     bool* out) const {

@@ -83,45 +83,13 @@ bool PrefixBloomFilter::MayContainRange(uint64_t lo, uint64_t hi) const {
   if (lo > hi) return false;
   uint64_t lp = lo >> prefix_level_;
   uint64_t rp = hi >> prefix_level_;
-  if (rp - lp + 1 > kMaxProbes) return true;  // cannot exclude cheaply
+  // rp - lp + 1 would wrap to 0 for the full domain at prefix level 0.
+  if (rp - lp >= kMaxProbes) return true;  // cannot exclude cheaply
   for (uint64_t p = lp;; ++p) {
     if (TestValue(p, 2)) return true;
     if (p == rp) break;
   }
   return false;
-}
-
-void PrefixBloomFilter::MayContainRangeBatch(std::span<const uint64_t> los,
-                                             std::span<const uint64_t> his,
-                                             bool* out) const {
-  constexpr size_t kStripe = 32;
-  // A range scan stops at its first positive prefix, so only the
-  // leading prefixes are worth pulling in ahead of time.
-  constexpr uint64_t kPlanPrefixes = 4;
-  for (size_t base = 0; base < los.size(); base += kStripe) {
-    const size_t stripe = std::min(kStripe, los.size() - base);
-    for (size_t j = 0; j < stripe; ++j) {
-      uint64_t lo = los[base + j], hi = his[base + j];
-      if (lo > hi) continue;
-      uint64_t lp = lo >> prefix_level_;
-      uint64_t rp = hi >> prefix_level_;
-      if (rp - lp + 1 > kMaxProbes) continue;  // answered without probing
-      uint64_t last = rp - lp + 1 > kPlanPrefixes ? lp + kPlanPrefixes - 1
-                                                  : rp;
-      for (uint64_t p = lp;; ++p) {
-        uint64_t h1 = Hash64(p, seed_ ^ 2);
-        uint64_t h2 = Hash64(p, seed_ ^ 2 ^ 0x5bd1e995);
-        for (uint32_t i = 0; i < k_; ++i) {
-          bits_.PrefetchBit(
-              FastRange64(DoubleHashProbe(h1, h2, i), bits_.size_bits()));
-        }
-        if (p == last) break;
-      }
-    }
-    for (size_t j = 0; j < stripe; ++j) {
-      out[base + j] = MayContainRange(los[base + j], his[base + j]);
-    }
-  }
 }
 
 std::string PrefixBloomFilter::Serialize() const {

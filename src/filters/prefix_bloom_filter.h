@@ -36,13 +36,6 @@ class PrefixBloomFilter : public OnlineFilter {
   void MayContainBatch(std::span<const uint64_t> keys,
                        bool* out) const override;
 
-  /// Planned batch range probe: the covering prefixes of every query
-  /// are hashed and their probe blocks prefetched before the scalar
-  /// prefix scans run on lines already in flight.
-  void MayContainRangeBatch(std::span<const uint64_t> los,
-                            std::span<const uint64_t> his,
-                            bool* out) const override;
-
   uint64_t MemoryBits() const override { return bits_.size_bits(); }
 
   uint32_t prefix_level() const { return prefix_level_; }

@@ -8,6 +8,14 @@
 
 namespace bloomrf {
 
+namespace {
+
+// Probe count of the last range query on this thread (stats only).
+// Per thread because const probes run concurrently on one filter.
+thread_local uint64_t last_probes = 0;
+
+}  // namespace
+
 bool DyadicDecompose(uint64_t lo, uint64_t hi, uint32_t max_level,
                      uint64_t cap,
                      std::vector<std::pair<uint64_t, uint32_t>>* out) {
@@ -128,8 +136,14 @@ bool Rosetta::Doubt(uint64_t prefix, uint32_t level,
          Doubt((prefix << 1) | 1, level - 1, probes);
 }
 
-bool Rosetta::DoubtDecomposition(
-    const std::vector<std::pair<uint64_t, uint32_t>>& pieces) const {
+bool Rosetta::MayContainRange(uint64_t lo, uint64_t hi) const {
+  if (lo > hi) return false;
+  uint32_t max_level = static_cast<uint32_t>(levels_.size()) - 1;
+  std::vector<std::pair<uint64_t, uint32_t>> pieces;
+  if (!DyadicDecompose(lo, hi, max_level, kMaxDecomposition, &pieces)) {
+    last_probes = 0;  // answered without probing
+    return true;  // range too large for the configured R: cannot exclude
+  }
   uint64_t probes = 0;
   bool result = false;
   for (const auto& [prefix, level] : pieces) {
@@ -138,66 +152,11 @@ bool Rosetta::DoubtDecomposition(
       break;
     }
   }
-  last_probes_ = probes;  // stats only; racy writes cannot affect probing
+  last_probes = probes;
   return result;
 }
 
-bool Rosetta::MayContainRange(uint64_t lo, uint64_t hi) const {
-  if (lo > hi) return false;
-  uint32_t max_level = static_cast<uint32_t>(levels_.size()) - 1;
-  std::vector<std::pair<uint64_t, uint32_t>> pieces;
-  if (!DyadicDecompose(lo, hi, max_level, kMaxDecomposition, &pieces)) {
-    last_probes_ = 0;  // answered without probing
-    return true;  // range too large for the configured R: cannot exclude
-  }
-  return DoubtDecomposition(pieces);
-}
-
-void Rosetta::MayContainRangeBatch(std::span<const uint64_t> los,
-                                   std::span<const uint64_t> his,
-                                   bool* out) const {
-  constexpr size_t kStripe = 32;
-  // Doubting fans out unpredictably, but every query starts with one
-  // Bloom probe per dyadic piece — those addresses are a pure function
-  // of the interval. The planning pass decomposes each query ONCE,
-  // prefetches the leading pieces' probe blocks, and the probe pass
-  // doubts the stored decomposition on lines already in flight.
-  constexpr size_t kPlanPieces = 8;
-  const uint32_t max_level = static_cast<uint32_t>(levels_.size()) - 1;
-  std::vector<std::pair<uint64_t, uint32_t>> pieces[kStripe];
-  // 0 = decomposed (doubt pieces[j]), 1 = answered false, 2 = answered
-  // true without probing (decomposition cap; clears last_probes_ like
-  // the scalar path).
-  uint8_t state[kStripe];
-  for (size_t base = 0; base < los.size(); base += kStripe) {
-    const size_t stripe = std::min(kStripe, los.size() - base);
-    for (size_t j = 0; j < stripe; ++j) {
-      uint64_t lo = los[base + j], hi = his[base + j];
-      if (lo > hi) {
-        state[j] = 1;
-        continue;
-      }
-      if (!DyadicDecompose(lo, hi, max_level, kMaxDecomposition,
-                           &pieces[j])) {
-        state[j] = 2;
-        continue;
-      }
-      state[j] = 0;
-      size_t planned = std::min(pieces[j].size(), kPlanPieces);
-      for (size_t p = 0; p < planned; ++p) {
-        levels_[pieces[j][p].second]->PrefetchKey(pieces[j][p].first);
-      }
-    }
-    for (size_t j = 0; j < stripe; ++j) {
-      if (state[j] == 0) {
-        out[base + j] = DoubtDecomposition(pieces[j]);
-      } else {
-        if (state[j] == 2) last_probes_ = 0;
-        out[base + j] = state[j] == 2;
-      }
-    }
-  }
-}
+uint64_t Rosetta::last_probe_count() { return last_probes; }
 
 uint64_t Rosetta::MemoryBits() const {
   uint64_t total = 0;

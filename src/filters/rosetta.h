@@ -54,21 +54,15 @@ class Rosetta : public OnlineFilter {
   bool MayContain(uint64_t key) const override;
   bool MayContainRange(uint64_t lo, uint64_t hi) const override;
 
-  /// Planned batch range probe: decomposes every query up front and
-  /// prefetches the root probe of each dyadic piece (the first Bloom
-  /// test Doubt will run) before the scalar doubting descents execute.
-  void MayContainRangeBatch(std::span<const uint64_t> los,
-                            std::span<const uint64_t> his,
-                            bool* out) const override;
-
   uint64_t MemoryBits() const override;
 
   size_t num_levels() const { return levels_.size(); }
 
-  /// Total bottom-level Bloom probes of the last range query issued on
-  /// this thread — exposes the doubting cost (Fig. 12.G style
-  /// breakdowns).
-  uint64_t last_probe_count() const { return last_probes_; }
+  /// Total Bloom probes of the last range query issued on this thread
+  /// (to any Rosetta) — exposes the doubting cost (Fig. 12.G style
+  /// breakdowns). Thread-local, so concurrent readers of one filter do
+  /// not race on it.
+  static uint64_t last_probe_count();
 
   /// Serializes the options and every per-level Bloom filter.
   std::string Serialize() const override;
@@ -79,15 +73,8 @@ class Rosetta : public OnlineFilter {
 
   bool Doubt(uint64_t prefix, uint32_t level, uint64_t& probes) const;
 
-  /// Doubts an already-computed decomposition (shared by the scalar
-  /// range probe and the planned batch, which decomposes once in its
-  /// planning pass). Updates last_probes_.
-  bool DoubtDecomposition(
-      const std::vector<std::pair<uint64_t, uint32_t>>& pieces) const;
-
   Options options_;
   std::vector<std::unique_ptr<BloomFilter>> levels_;  // index = level
-  mutable uint64_t last_probes_ = 0;
   static constexpr uint64_t kMaxDecomposition = 1ULL << 14;
   /// Per-query bound on doubting probes; beyond it range probes answer
   /// a conservative true (bounds hostile/saturated filters).

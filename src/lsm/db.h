@@ -248,12 +248,12 @@ class Db {
 
   /// Batched range scan: result[i] holds the RangeScan(los[i], his[i],
   /// limit) rows. Equivalent to N RangeScan calls but each table's
-  /// filter answers the whole batch through one planned
-  /// MayContainRangeBatch (TableReader::RangeMultiProbe), and each
-  /// range streams one MergingIterator over the memtables and the
-  /// tables that admitted it, reading blocks through the shared block
-  /// cache, so overlapping ranges parse each block once. Spans of
-  /// unequal length return an empty result.
+  /// filter answers the whole batch in one call
+  /// (TableReader::RangeMultiProbe, a scalar MayContainRange per
+  /// range), and each range streams one MergingIterator over the
+  /// memtables and the tables that admitted it, reading blocks through
+  /// the shared block cache, so overlapping ranges parse each block
+  /// once. Spans of unequal length return an empty result.
   std::vector<std::vector<std::pair<uint64_t, std::string>>> ScanRange(
       std::span<const uint64_t> los, std::span<const uint64_t> his,
       size_t limit = 1024);

@@ -230,8 +230,9 @@ class TableReader {
 
   /// Batched range filter probe: may_match[i] holds this table's
   /// filter answer for [los[i], his[i]] (true when the table has no
-  /// filter). One planned MayContainRangeBatch per call instead of N
-  /// scalar descents — the filter-side half of Db::ScanRange.
+  /// filter) — the filter-side half of Db::ScanRange. One
+  /// MayContainRangeBatch call, which loops the scalar MayContainRange,
+  /// then one update of the table's outcome counters for the batch.
   void RangeMultiProbe(std::span<const uint64_t> los,
                        std::span<const uint64_t> his, bool* may_match,
                        LsmStats* stats) const;

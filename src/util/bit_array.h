@@ -77,23 +77,10 @@ class BitArray {
     return blocks_[block_idx].load(std::memory_order_relaxed);
   }
 
-  /// Read-only view of the backing 64-bit blocks for bloomRF's lockstep
-  /// range batch, which tests compiled (block, shift, mask) units.
-  /// Reads through this pointer are plain loads of lock-free atomics —
-  /// equivalent to the relaxed LoadBlock reads, so concurrent Insert
-  /// keeps the no-false-negative contract.
-  const uint64_t* raw_blocks() const {
-    static_assert(sizeof(std::atomic<uint64_t>) == sizeof(uint64_t));
-    static_assert(std::atomic<uint64_t>::is_always_lock_free);
-    return reinterpret_cast<const uint64_t*>(blocks_.get());
-  }
-
-  /// Prefetch hints for the planned-probe engine: pull the 64-bit block
-  /// a later TestBit/LoadWord will touch into cache ahead of use.
-  void PrefetchBlock(uint64_t block_idx) const {
-    PrefetchRead(&blocks_[block_idx]);
-  }
-  void PrefetchBit(uint64_t pos) const { PrefetchBlock(pos >> 6); }
+  /// Prefetch hint for the planned point batches: pulls the 64-bit
+  /// block holding bit `pos`, which a later TestBit will read, into
+  /// cache ahead of use.
+  void PrefetchBit(uint64_t pos) const { PrefetchRead(&blocks_[pos >> 6]); }
 
   /// True iff any bit in the inclusive bit range [lo, hi] is set.
   bool AnyInRange(uint64_t lo, uint64_t hi) const;

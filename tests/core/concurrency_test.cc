@@ -2,21 +2,27 @@
 // Fig. 12.A/B): lookups run concurrently with insertions. These tests
 // pin the memory-visibility contract: a key inserted before a probe
 // (happens-before via thread join or acquire/release flag) is always
-// found, under concurrent writer load.
+// found, under concurrent writer load. The last test covers every
+// registry backend: the LSM probes one SST's filter from many reader
+// threads at once, so a const probe must not write shared state.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/bloomrf.h"
+#include "filters/registry.h"
 #include "tests/test_util.h"
 
 namespace bloomrf {
 namespace {
 
 using ::bloomrf::testing::RandomKeySet;
+using ::bloomrf::testing::RangeEnd;
 
 TEST(ConcurrencyTest, ParallelInsertsAllVisibleAfterJoin) {
   auto keyset = RandomKeySet(80000, 91);
@@ -92,6 +98,55 @@ TEST(ConcurrencyTest, ConcurrentRangeProbesDuringInserts) {
   writer.join();
   reader.join();
   EXPECT_EQ(missed.load(), 0u);
+}
+
+// Four threads repeat the same point and range probes on one filter;
+// every answer must equal a single-threaded pass. Under
+// ThreadSanitizer, a probe that writes a member reports a race here.
+TEST(ConcurrencyTest, ConcurrentProbesMatchSerialOnEveryBackend) {
+  auto key_set = RandomKeySet(20000, 94);
+  std::vector<uint64_t> keys(key_set.begin(), key_set.end());
+  Rng rng(95);
+  std::vector<uint64_t> points, los, his;
+  for (size_t i = 0; i < 1000; ++i) {
+    uint64_t anchor =
+        (i % 2 == 0) ? keys[rng.Uniform(keys.size())] : rng.Next();
+    points.push_back(i % 4 == 2 ? anchor + 1 : anchor);
+    uint64_t width = uint64_t{1} << rng.Uniform(16);
+    uint64_t lo = anchor - std::min(anchor, width / 2);
+    los.push_back(lo);
+    his.push_back(RangeEnd(lo, width));
+  }
+  for (const std::string& name : FilterRegistry::Instance().Names()) {
+    FilterBuildParams params;
+    params.bits_per_key = 16.0;
+    auto filter = FilterRegistry::Instance().Find(name)->build_from_sorted_keys(
+        keys, params);
+    ASSERT_NE(filter, nullptr) << name;
+    std::vector<uint8_t> point_serial, range_serial;
+    for (uint64_t p : points) point_serial.push_back(filter->MayContain(p));
+    for (size_t i = 0; i < los.size(); ++i) {
+      range_serial.push_back(filter->MayContainRange(los[i], his[i]));
+    }
+    std::atomic<uint64_t> mismatches{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&] {
+        for (int round = 0; round < 2; ++round) {
+          for (size_t i = 0; i < points.size(); ++i) {
+            if (filter->MayContain(points[i]) != point_serial[i]) {
+              mismatches.fetch_add(1);
+            }
+            if (filter->MayContainRange(los[i], his[i]) != range_serial[i]) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& th : readers) th.join();
+    EXPECT_EQ(mismatches.load(), 0u) << name;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Probe-semantics edge cases of the two-path range algorithm: domain
 // boundaries, conservative caps, early stopping, the covering/
-// decomposition accounting exposed through ProbeStats, and batch
-// probes answering like scalar ones on configs the filter registry
-// never builds.
+// decomposition accounting exposed through ProbeStats, and batched
+// point probes answering like scalar ones on configs the filter
+// registry never builds.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -17,7 +16,6 @@ namespace bloomrf {
 namespace {
 
 using ::bloomrf::testing::RandomKeySet;
-using ::bloomrf::testing::RangeEnd;
 
 TEST(ProbeSemanticsTest, DomainBoundaryRanges) {
   BloomRF filter(BloomRFConfig::Basic(100, 16.0));
@@ -147,9 +145,8 @@ TEST(ProbeSemanticsTest, StatsAccumulateAcrossCalls) {
 // The registry builds advisor-tuned configs only, which at this size
 // have an exact layer and at most 2 replicas per layer. Basic has no
 // exact layer, so the point plan skips it. The replicated variant puts
-// 3 replicas on the bottom layer and 5 on the top one; 5 exceeds the
-// lockstep range engine's per-unit cap of 4, so its per-query scalar
-// fallback runs.
+// 3 replicas on the bottom layer and 5 on the top one, so the plan
+// stores a different number of bit positions per layer.
 TEST(ProbeSemanticsTest, BatchProbesMatchScalarOnUnadvisedConfigs) {
   BloomRFConfig basic = BloomRFConfig::Basic(3000, 16.0);
   BloomRFConfig replicated = basic;
@@ -164,33 +161,22 @@ TEST(ProbeSemanticsTest, BatchProbesMatchScalarOnUnadvisedConfigs) {
     for (uint64_t k : keys) filter.Insert(k);
     Rng rng(0x9e3);
     for (size_t batch_size : {0, 1, 31, 32, 33, 1001}) {
-      // Present keys, their successors and random keys; ranges of
-      // widths 2^0..2^19 around present or random anchors.
-      std::vector<uint64_t> probes, los, his;
+      // Present keys, their successors and random keys.
+      std::vector<uint64_t> probes;
       for (size_t i = 0; i < batch_size; ++i) {
         uint64_t anchor =
             (i % 2 == 0) ? keys[rng.Uniform(keys.size())] : rng.Next();
         probes.push_back(i % 4 == 2 ? anchor + 1 : anchor);
-        uint64_t width = uint64_t{1} << rng.Uniform(20);
-        uint64_t lo = anchor - std::min(anchor, width / 2);
-        los.push_back(lo);
-        his.push_back(RangeEnd(lo, width));
       }
       auto point_out = std::make_unique<bool[]>(batch_size + 1);
-      auto range_out = std::make_unique<bool[]>(batch_size + 1);
-      point_out[batch_size] = range_out[batch_size] = true;  // canaries
+      point_out[batch_size] = true;  // canary
       filter.MayContainBatch(probes, point_out.get());
-      filter.MayContainRangeBatch(los, his, range_out.get());
       for (size_t i = 0; i < batch_size; ++i) {
         ASSERT_EQ(point_out[i], filter.MayContain(probes[i]))
             << cfg.DebugString() << " batch_size=" << batch_size
             << " i=" << i << " key=" << probes[i];
-        ASSERT_EQ(range_out[i], filter.MayContainRange(los[i], his[i]))
-            << cfg.DebugString() << " batch_size=" << batch_size
-            << " i=" << i << " [" << los[i] << ", " << his[i] << "]";
       }
       EXPECT_TRUE(point_out[batch_size]);
-      EXPECT_TRUE(range_out[batch_size]);
     }
   }
 }

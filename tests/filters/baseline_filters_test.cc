@@ -30,9 +30,12 @@ TEST(PrefixBloomTest, NoFalseNegatives) {
 }
 
 TEST(PrefixBloomTest, WidePrefixRangesAreConservative) {
-  PrefixBloomFilter filter(100, 14.0, 8);
-  // Range spanning > kMaxProbes prefixes cannot be excluded.
-  EXPECT_TRUE(filter.MayContainRange(0, UINT64_MAX));
+  // Range spanning > kMaxProbes prefixes cannot be excluded. At prefix
+  // level 0 the full domain holds 2^64 prefixes, a count that wraps.
+  for (uint32_t prefix_level : {8u, 0u}) {
+    PrefixBloomFilter filter(100, 14.0, prefix_level);
+    EXPECT_TRUE(filter.MayContainRange(0, UINT64_MAX)) << prefix_level;
+  }
 }
 
 TEST(PrefixBloomTest, ExcludesDistantRanges) {

@@ -1,10 +1,12 @@
-// The planned batch probes must be drop-in replacements for the scalar
-// loops: for EVERY registered backend, MayContainBatch and
-// MayContainRangeBatch agree answer-for-answer with MayContain /
-// MayContainRange — including empty batches, odd (non-stripe-multiple)
-// batch sizes, duplicate keys within one batch, and adversarial
-// intervals (lo == hi, full-domain, layer/segment straddles, inverted).
-// The registry builds advisor-tuned bloomRF configs only; the batch
+// The batch probes must be drop-in replacements for the scalar loops:
+// for EVERY registered backend, MayContainBatch and MayContainRangeBatch
+// agree answer-for-answer with MayContain / MayContainRange — including
+// empty batches, odd (non-stripe-multiple) batch sizes, duplicate keys
+// within one batch, and adversarial intervals (lo == hi, full-domain,
+// layer/segment straddles, inverted). The point batches are planned
+// overrides; every range batch is PointRangeFilter's base-class loop,
+// which TableReader::RangeMultiProbe and perfbench's replay call. The
+// registry builds advisor-tuned bloomRF configs only; the point-plan
 // branches those never reach are covered in
 // tests/core/probe_semantics_test.cc.
 

@@ -1,8 +1,9 @@
 // Db::ScanRange is the batched equivalent of N RangeScan calls: same
 // rows for every range (memtable overlays, multi-SST merges, empty
 // ranges, duplicates, inverted bounds, empty batches), with each
-// table's filter probed once per batch through the planned
-// MayContainRangeBatch and block reads served by the shared cache.
+// table's filter probed once per batch through
+// TableReader::RangeMultiProbe and block reads served by the shared
+// cache.
 
 #include <gtest/gtest.h>
 
