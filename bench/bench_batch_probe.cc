@@ -4,20 +4,24 @@
 // Point probes: for each online backend (bloomRF, Bloom, BlockedBloom,
 // PrefixBloom, Cuckoo), probes the same query mix through the scalar
 // virtual loop and through the planned MayContainBatch (plan and
-// prefetch a stripe, then test in scalar code) in chunks, and reports
-// Mops + speedup. Before the timed runs, one untimed pass per backend
-// compares the batch and scalar answers position by position and exits
-// 1 at the first mismatch. Range probes are not measured: no backend
-// overrides MayContainRangeBatch, which loops the scalar
-// MayContainRange. LSM: a multi-SST store probed key-at-a-time vs
-// MultiGet, then a second MultiGet pass over the same keys to show
-// block-cache hits.
+// prefetch a stripe, then test in scalar code) in chunks. The two
+// modes are timed as 9 interleaved scalar/batch pairs, alternating
+// which runs first, each window repeating the query set until it lasts
+// at least 50 ms; `speedup` is the median of the per-pair batch/scalar
+// ratios (with its quartiles) and Mops are medians, so drift between
+// windows does not become the ratio. Before the timed runs, one
+// untimed pass per backend compares the batch and scalar answers
+// position by position and exits 1 at the first mismatch. Range
+// probes are not measured: no backend overrides MayContainRangeBatch,
+// which loops the scalar MayContainRange. LSM: a multi-SST store
+// probed key-at-a-time vs MultiGet, then a second MultiGet pass over
+// the same keys to show block-cache hits.
 //
 // Defaults build a filter well past L2 size (8M keys at 20 bits/key
 // = 20 MB for bloomRF) so the prefetch pipeline, not the cache, is
 // measured. Writes BENCH_batch_probe.json (override with --out=PATH)
 // including the host's widest vector ISA (`simd`) and a conservative
-// `guard` floor (0.8x of this run's measured bloomRF point speedup) that
+// `guard` floor (0.8x of this run's median bloomRF point speedup) that
 // the CI perf-guard step compares its own smoke run against; --smoke
 // shrinks everything for CI. Guard floors in the committed JSON come
 // from a full-scale run, so refresh them (rerun this bench) when
@@ -25,6 +29,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -45,12 +50,16 @@ namespace {
 using bench::Mops;
 
 constexpr size_t kBatchChunk = 4096;
+// Interleaved scalar/batch pairs per backend, and the least time one
+// timed window lasts (the query set repeats to fill it).
+constexpr int kPairs = 9;
+constexpr double kMinWindowSeconds = 0.05;
 
 struct PointResult {
   std::string name;
-  double scalar_mops = 0;
+  double scalar_mops = 0;    // medians over the pairs
   double batch_mops = 0;
-  double speedup = 0;
+  bench::Quartiles speedup;  // of the per-pair batch/scalar ratios
 };
 
 // 50% inserted keys / 50% uniform random probes, shuffled.
@@ -99,45 +108,58 @@ PointResult BenchPointBackend(const std::string& name,
     }
   }
 
-  // Best of two timed runs per mode: the first run doubles as warmup,
-  // and taking the max Mops trims one-sided scheduler noise equally
-  // from both sides of the speedup ratio.
-  uint64_t scalar_positives = 0;
-  Timer timer;
-  for (int run = 0; run < 2; ++run) {
-    // Scalar: one virtual MayContain per key, the pre-PR hot loop.
-    scalar_positives = 0;
-    timer.Restart();
-    for (uint64_t q : queries) scalar_positives += filter->MayContain(q);
-    result.scalar_mops =
-        std::max(result.scalar_mops, Mops(queries.size(), timer.ElapsedSeconds()));
-  }
-
-  // Batched: plan + prefetch + scalar probe, one chunk at a time.
-  uint64_t batch_positives = 0;
-  for (int run = 0; run < 2; ++run) {
-    batch_positives = 0;
-    timer.Restart();
+  // Scalar: one virtual MayContain per key. Batched: plan + prefetch
+  // + scalar probe, one chunk at a time. Each returns its positives.
+  auto scalar_pass = [&] {
+    uint64_t positives = 0;
+    for (uint64_t q : queries) positives += filter->MayContain(q);
+    return positives;
+  };
+  auto batch_pass = [&] {
+    uint64_t positives = 0;
     for (size_t base = 0; base < queries.size(); base += kBatchChunk) {
       size_t n = std::min(kBatchChunk, queries.size() - base);
       filter->MayContainBatch({queries.data() + base, n}, out.get());
-      for (size_t j = 0; j < n; ++j) batch_positives += out[j];
+      for (size_t j = 0; j < n; ++j) positives += out[j];
     }
-    result.batch_mops =
-        std::max(result.batch_mops, Mops(queries.size(), timer.ElapsedSeconds()));
-  }
-  result.speedup =
-      result.scalar_mops > 0 ? result.batch_mops / result.scalar_mops : 0;
+    return positives;
+  };
 
+  // One untimed pass per mode warms up and sizes the windows: each
+  // timed window repeats the query set `reps` times, enough for the
+  // faster mode to take kMinWindowSeconds.
+  Timer timer;
+  uint64_t scalar_positives = scalar_pass();
+  double fastest = timer.ElapsedSeconds();
+  timer.Restart();
+  uint64_t batch_positives = batch_pass();
+  fastest = std::min(fastest, timer.ElapsedSeconds());
+  const uint64_t reps = static_cast<uint64_t>(
+      std::ceil(kMinWindowSeconds / std::max(fastest, 1e-6)));
+  auto window = [&](auto pass, uint64_t* positives) {
+    timer.Restart();
+    for (uint64_t r = 0; r < reps; ++r) *positives += pass();
+    return Mops(queries.size() * reps, timer.ElapsedSeconds());
+  };
+  const bench::PairedRatio paired = bench::TimePairs(
+      kPairs, [&] { return window(scalar_pass, &scalar_positives); },
+      [&] { return window(batch_pass, &batch_positives); });
+  result.scalar_mops = paired.a_mops;
+  result.batch_mops = paired.b_mops;
+  result.speedup = paired.ratio;
+
+  // Both modes ran the query set equally often.
   if (scalar_positives != batch_positives) {
     std::fprintf(stderr, "BUG: %s scalar/batch disagree (%" PRIu64
                  " vs %" PRIu64 ")\n",
                  name.c_str(), scalar_positives, batch_positives);
     std::exit(1);
   }
-  std::printf("  %-14s scalar %7.2f Mops   batched %7.2f Mops   %.2fx\n",
+  std::printf("  %-14s scalar %7.2f Mops   batched %7.2f Mops   %.2fx "
+              "[%.2f-%.2f] (%d pairs x %" PRIu64 " reps)\n",
               name.c_str(), result.scalar_mops, result.batch_mops,
-              result.speedup);
+              result.speedup.median, result.speedup.q1, result.speedup.q3,
+              kPairs, reps);
   return result;
 }
 
@@ -263,15 +285,18 @@ int main(int argc, char** argv) {
                "{\n  \"bench\": \"batch_probe\",\n  \"smoke\": %s,\n"
                "  \"simd\": \"%s\",\n"
                "  \"keys\": %" PRIu64 ",\n  \"queries\": %" PRIu64 ",\n"
-               "  \"bits_per_key\": %.1f,\n  \"point\": [\n",
+               "  \"bits_per_key\": %.1f,\n  \"pairs\": %d,\n"
+               "  \"point\": [\n",
                smoke ? "true" : "false", SimdLevelName(ActiveSimdLevel()),
-               scale.keys, scale.queries, bits_per_key);
+               scale.keys, scale.queries, bits_per_key, kPairs);
   for (size_t i = 0; i < point_results.size(); ++i) {
     const PointResult& r = point_results[i];
     std::fprintf(json,
                  "    {\"filter\": \"%s\", \"scalar_mops\": %.3f, "
-                 "\"batch_mops\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.scalar_mops, r.batch_mops, r.speedup,
+                 "\"batch_mops\": %.3f, \"speedup\": %.3f, "
+                 "\"speedup_quartiles\": [%.3f, %.3f]}%s\n",
+                 r.name.c_str(), r.scalar_mops, r.batch_mops,
+                 r.speedup.median, r.speedup.q1, r.speedup.q3,
                  i + 1 < point_results.size() ? "," : "");
   }
   std::fprintf(json,
@@ -281,12 +306,13 @@ int main(int argc, char** argv) {
                "\"warm_cache_hit_rate\": %.3f},\n",
                db_keys, db.num_tables(), get_mops, multiget_mops, lsm_speedup,
                multiget_warm_mops, cache_hit_rate);
-  // Conservative floor (0.8x of this run's measured bloomRF point
+  // Conservative floor (0.8x of this run's median bloomRF point
   // speedup) for the CI perf-guard step: scripts/perf_guard.py fails
-  // the release-perf job when a smoke run drops below 0.9x of it.
+  // the release-perf job when a smoke run's median drops below 0.9x of
+  // it.
   double guard_point = 0;
   for (const PointResult& r : point_results) {
-    if (r.name == "bloomrf") guard_point = r.speedup * 0.8;
+    if (r.name == "bloomrf") guard_point = r.speedup.median * 0.8;
   }
   std::fprintf(json, "  \"guard\": {\"bloomrf_point_speedup\": %.3f}\n}\n",
                guard_point);

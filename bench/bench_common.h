@@ -13,6 +13,7 @@
 #ifndef BLOOMRF_BENCH_BENCH_COMMON_H_
 #define BLOOMRF_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -120,6 +121,53 @@ inline void Header(const char* figure, const char* title, const Scale& scale) {
 /// Formats a rate as million ops per second.
 inline double Mops(uint64_t ops, double seconds) {
   return seconds > 0 ? static_cast<double>(ops) / seconds / 1e6 : 0.0;
+}
+
+/// Median and quartiles of a sample, interpolating between order
+/// statistics.
+struct Quartiles {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+inline Quartiles QuartilesOf(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// A throughput ratio b/a measured as `pairs` interleaved (a, b) pairs,
+/// alternating which side runs first, so drift during the run lands on
+/// both sides of each pair alike: the median and quartiles of the
+/// per-pair ratios, and each side's median Mops.
+struct PairedRatio {
+  Quartiles ratio;
+  double a_mops = 0;
+  double b_mops = 0;
+};
+template <typename TimeA, typename TimeB>
+PairedRatio TimePairs(int pairs, TimeA time_a, TimeB time_b) {
+  std::vector<double> a, b, ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double a_mops, b_mops;
+    if (p % 2 == 0) {
+      a_mops = time_a();
+      b_mops = time_b();
+    } else {
+      b_mops = time_b();
+      a_mops = time_a();
+    }
+    a.push_back(a_mops);
+    b.push_back(b_mops);
+    ratios.push_back(a_mops > 0 ? b_mops / a_mops : 0);
+  }
+  return {QuartilesOf(ratios), QuartilesOf(a).median, QuartilesOf(b).median};
 }
 
 }  // namespace bloomrf::bench

@@ -24,7 +24,10 @@
 // The `wal` section re-times Put-only at (1 shard, 1 thread) and
 // (max shards, max threads) with the group-commit WAL on
 // (wal_fsync=false): put_ratio = walled/unwalled throughput is the
-// logging overhead the acceptance gate bounds (>= 0.75).
+// logging overhead the acceptance gate bounds (>= 0.75). It and the
+// `delete_put` ratio (delete-heavy/put-only, 1 shard, 1 thread) are
+// each the median of 7 interleaved pairs of fresh engines, alternating
+// which side runs first, with the quartiles beside it.
 //
 // Writes BENCH_lsm_concurrent.json (override with --out=PATH),
 // including `hardware_concurrency` (scaling is bounded by the host's
@@ -247,6 +250,34 @@ WriteCell BenchWrites(MakeEngine make, const Workload& w, size_t shards,
   return cell;
 }
 
+/// Times one put-only pass over a fresh engine.
+template <typename EnginePtr>
+double TimePuts(const EnginePtr& db, const Workload& w, size_t threads) {
+  double secs = TimedThreads(threads, [&](size_t t) {
+    Rng rng(0xbee5 + t);
+    for (uint64_t i = 0; i < w.put_ops_per_thread; ++i) {
+      db->Put(PutKey(&rng), kPutValue);
+    }
+  });
+  return Mops(w.put_ops_per_thread * threads, secs);
+}
+
+/// Populates a fresh engine with the put phase's exact key streams
+/// (untimed), then times one delete-heavy pass tombstoning every
+/// ingested key — the write path's cost for a delete record and a
+/// memtable tombstone.
+template <typename EnginePtr>
+double TimeDeletes(const EnginePtr& db, const Workload& w, size_t threads) {
+  TimePuts(db, w, threads);
+  double secs = TimedThreads(threads, [&](size_t t) {
+    Rng rng(0xbee5 + t);  // replays the put phase's keys
+    for (uint64_t i = 0; i < w.put_ops_per_thread; ++i) {
+      db->Delete(PutKey(&rng));
+    }
+  });
+  return Mops(w.put_ops_per_thread * threads, secs);
+}
+
 struct DeleteCell {
   size_t shards = 0;
   size_t threads = 0;
@@ -254,12 +285,9 @@ struct DeleteCell {
   double pdg_mops = 0;     // 25/25/50 put/delete/get mix
 };
 
-/// Delete-path throughput. Each run populates a fresh engine with the
-/// put phase's exact key streams (untimed), then times a delete-heavy
-/// pass (tombstoning every ingested key — the write path's cost for a
-/// delete record + memtable tombstone), then a 25/25/50 put/delete/get
-/// mix over the churned store — point reads now climb over live
-/// tombstones in the memtable and L0.
+/// Delete-path throughput. Each run times TimeDeletes on a fresh
+/// engine, then a 25/25/50 put/delete/get mix over the churned store —
+/// point reads now climb over live tombstones in the memtable and L0.
 template <typename MakeEngine>
 DeleteCell BenchDeletes(MakeEngine make, const Workload& w, size_t shards,
                         size_t threads) {
@@ -269,20 +297,7 @@ DeleteCell BenchDeletes(MakeEngine make, const Workload& w, size_t shards,
   std::atomic<uint64_t> sink{0};
   for (int run = 0; run < 2; ++run) {
     auto db = make();
-    TimedThreads(threads, [&](size_t t) {
-      Rng rng(0xbee5 + t);
-      for (uint64_t i = 0; i < w.put_ops_per_thread; ++i) {
-        db->Put(PutKey(&rng), kPutValue);
-      }
-    });
-    double secs = TimedThreads(threads, [&](size_t t) {
-      Rng rng(0xbee5 + t);  // replays the put phase's keys
-      for (uint64_t i = 0; i < w.put_ops_per_thread; ++i) {
-        db->Delete(PutKey(&rng));
-      }
-    });
-    cell.delete_mops =
-        std::max(cell.delete_mops, Mops(w.put_ops_per_thread * threads, secs));
+    cell.delete_mops = std::max(cell.delete_mops, TimeDeletes(db, w, threads));
     if (run != 1) continue;
     for (int mixed_run = 0; mixed_run < 2; ++mixed_run) {
       double mixed_secs = TimedThreads(threads, [&](size_t t) {
@@ -312,18 +327,6 @@ DeleteCell BenchDeletes(MakeEngine make, const Workload& w, size_t shards,
   return cell;
 }
 
-/// Times one put-only pass over a fresh engine.
-template <typename EnginePtr>
-double TimePuts(const EnginePtr& db, const Workload& w, size_t threads) {
-  double secs = TimedThreads(threads, [&](size_t t) {
-    Rng rng(0xbee5 + t);
-    for (uint64_t i = 0; i < w.put_ops_per_thread; ++i) {
-      db->Put(PutKey(&rng), kPutValue);
-    }
-  });
-  return Mops(w.put_ops_per_thread * threads, secs);
-}
-
 /// Put-only throughput alone (best of two fresh engines).
 template <typename MakeEngine>
 double BenchPutsOnly(MakeEngine make, const Workload& w, size_t threads) {
@@ -335,26 +338,11 @@ double BenchPutsOnly(MakeEngine make, const Workload& w, size_t threads) {
   return best;
 }
 
-/// WAL-off vs WAL-on put throughput, interleaved: alternating fresh
-/// engines within one probe see the same machine state, so the ratio
-/// isolates the WAL cost instead of picking up drift between distant
-/// phases of the bench run. Returns {best_off, best_on}.
-template <typename MakeOff, typename MakeOn>
-std::pair<double, double> BenchWalPair(MakeOff make_off, MakeOn make_on,
-                                       const Workload& w, size_t threads) {
-  double best_off = 0, best_on = 0;
-  for (int run = 0; run < 3; ++run) {
-    {
-      auto db = make_off();
-      best_off = std::max(best_off, TimePuts(db, w, threads));
-    }
-    {
-      auto db = make_on();
-      best_on = std::max(best_on, TimePuts(db, w, threads));
-    }
-  }
-  return {best_off, best_on};
-}
+// Interleaved pairs of fresh engines behind each guarded write-path
+// ratio (bench::TimePairs): the ratio is the median of the per-pair
+// ratios, so drift between distant phases of the bench run, or one
+// noisy window, does not become the ratio.
+constexpr int kRatioPairs = 7;
 
 }  // namespace
 }  // namespace bloomrf
@@ -493,12 +481,15 @@ int main(int argc, char** argv) {
   }
 
   // ---- WAL overhead (group commit, wal_fsync=false) ------------------
-  auto [wal_off_1s1t, wal_put_1s1t] = BenchWalPair(
-      [&] { return make_sharded(1, false); },
-      [&] { return make_sharded(1, true); }, w, 1);
-  auto [wal_off_max, wal_put_max] = BenchWalPair(
-      [&] { return make_sharded(max_shards, false); },
-      [&] { return make_sharded(max_shards, true); }, w, max_threads);
+  // WAL-off (a) against WAL-on (b) put passes over fresh engines.
+  auto wal_pairs = [&](size_t shards, size_t threads) {
+    return bench::TimePairs(
+        kRatioPairs,
+        [&] { return TimePuts(make_sharded(shards, false), w, threads); },
+        [&] { return TimePuts(make_sharded(shards, true), w, threads); });
+  };
+  const bench::PairedRatio wal_1s1t = wal_pairs(1, 1);
+  const bench::PairedRatio wal_max = wal_pairs(max_shards, max_threads);
   auto write_cell_at = [&](size_t shards, size_t threads) -> const WriteCell* {
     for (const WriteCell& c : write_cells) {
       if (c.shards == shards && c.threads == threads) return &c;
@@ -507,18 +498,17 @@ int main(int argc, char** argv) {
   };
   const WriteCell* wmax1 = write_cell_at(max_shards, 1);
   const WriteCell* wmaxt = write_cell_at(max_shards, max_threads);
-  double wal_ratio_1s1t = wal_off_1s1t > 0 ? wal_put_1s1t / wal_off_1s1t : 0;
-  double wal_ratio_max = wal_off_max > 0 ? wal_put_max / wal_off_max : 0;
   double put_scaling = wmax1 && wmaxt && wmax1->put_mops > 0
                            ? wmaxt->put_mops / wmax1->put_mops
                            : 0;
   double mixed_scaling = wmax1 && wmaxt && wmax1->mixed_mops > 0
                              ? wmaxt->mixed_mops / wmax1->mixed_mops
                              : 0;
-  std::printf("WAL overhead (fsync off): 1s/1t Put %7.2f Mops (ratio %.2f)  "
-              "%zus/%zut Put %7.2f Mops (ratio %.2f)\n",
-              wal_put_1s1t, wal_ratio_1s1t, max_shards, max_threads,
-              wal_put_max, wal_ratio_max);
+  std::printf("WAL overhead (fsync off): 1s/1t Put %7.2f Mops (ratio %.2f "
+              "[%.2f-%.2f])  %zus/%zut Put %7.2f Mops (ratio %.2f)\n",
+              wal_1s1t.b_mops, wal_1s1t.ratio.median, wal_1s1t.ratio.q1,
+              wal_1s1t.ratio.q3, max_shards, max_threads, wal_max.b_mops,
+              wal_max.ratio.median);
   std::printf("write scaling 1->%zu threads (%zu shards): Put %.2fx  "
               "mixed %.2fx\n",
               max_threads, max_shards, put_scaling, mixed_scaling);
@@ -530,10 +520,8 @@ int main(int argc, char** argv) {
     }
     return nullptr;
   };
-  const DeleteCell* d11 = delete_cell_at(1, 1);
   const DeleteCell* dmax1 = delete_cell_at(max_shards, 1);
   const DeleteCell* dmaxt = delete_cell_at(max_shards, max_threads);
-  const WriteCell* w11 = write_cell_at(1, 1);
   double delete_scaling = dmax1 && dmaxt && dmax1->delete_mops > 0
                               ? dmaxt->delete_mops / dmax1->delete_mops
                               : 0;
@@ -542,15 +530,17 @@ int main(int argc, char** argv) {
                            : 0;
   // A delete is a smaller WAL record and a value-free memtable entry,
   // so delete-heavy throughput should track put throughput; the ratio
-  // (1 shard, 1 thread) catches a delete path that grew an accidental
-  // extra cost (e.g. a read-before-write or a second lock pass).
-  double delete_put_ratio = d11 && w11 && w11->put_mops > 0
-                                ? d11->delete_mops / w11->put_mops
-                                : 0;
+  // of put (a) and delete (b) passes over fresh 1-shard engines on one
+  // thread catches a delete path that grew an accidental extra cost
+  // (e.g. a read-before-write or a second lock pass).
+  const bench::PairedRatio delete_put = bench::TimePairs(
+      kRatioPairs, [&] { return TimePuts(make_sharded(1, false), w, 1); },
+      [&] { return TimeDeletes(make_sharded(1, false), w, 1); });
   std::printf("delete scaling 1->%zu threads (%zu shards): Delete %.2fx  "
-              "25/25/50 %.2fx;  delete/put ratio (1s/1t) %.2f\n",
+              "25/25/50 %.2fx;  delete/put ratio (1s/1t) %.2f [%.2f-%.2f]\n",
               max_threads, max_shards, delete_scaling, pdg_scaling,
-              delete_put_ratio);
+              delete_put.ratio.median, delete_put.ratio.q1,
+              delete_put.ratio.q3);
 
   // ---- Read amplification: L0 pile vs leveled tree -------------------
   // The same dataset flushed as ~16 small memtables, then point-read
@@ -735,13 +725,26 @@ int main(int argc, char** argv) {
                  c.shards, c.threads, c.delete_mops, c.pdg_mops,
                  i + 1 < delete_cells.size() ? "," : "");
   }
+  // Guarded ratios are medians over kRatioPairs interleaved pairs,
+  // with their quartiles.
   std::fprintf(json,
-               "  ],\n  \"wal\": {\"put_mops_1s1t\": %.3f, "
-               "\"put_ratio_1s1t\": %.3f, \"put_mops_max\": %.3f, "
-               "\"put_ratio_max\": %.3f, \"max_shards\": %zu, "
-               "\"max_threads\": %zu},\n",
-               wal_put_1s1t, wal_ratio_1s1t, wal_put_max, wal_ratio_max,
-               max_shards, max_threads);
+               "  ],\n  \"ratio_pairs\": %d,\n"
+               "  \"delete_put\": {\"put_mops_1s1t\": %.3f, "
+               "\"delete_mops_1s1t\": %.3f, \"ratio_1s1t\": %.3f, "
+               "\"ratio_1s1t_quartiles\": [%.3f, %.3f]},\n",
+               kRatioPairs, delete_put.a_mops, delete_put.b_mops,
+               delete_put.ratio.median, delete_put.ratio.q1,
+               delete_put.ratio.q3);
+  std::fprintf(json,
+               "  \"wal\": {\"put_mops_1s1t\": %.3f, "
+               "\"put_ratio_1s1t\": %.3f, "
+               "\"put_ratio_1s1t_quartiles\": [%.3f, %.3f], "
+               "\"put_mops_max\": %.3f, \"put_ratio_max\": %.3f, "
+               "\"put_ratio_max_quartiles\": [%.3f, %.3f], "
+               "\"max_shards\": %zu, \"max_threads\": %zu},\n",
+               wal_1s1t.b_mops, wal_1s1t.ratio.median, wal_1s1t.ratio.q1,
+               wal_1s1t.ratio.q3, wal_max.b_mops, wal_max.ratio.median,
+               wal_max.ratio.q1, wal_max.ratio.q3, max_shards, max_threads);
   std::fprintf(json,
                "  \"read_amp\": {\"tables_off\": %zu, \"tables_on\": %zu, "
                "\"get_mops_off\": %.3f, \"get_mops_on\": %.3f, "
@@ -780,8 +783,9 @@ int main(int argc, char** argv) {
                multiget_scaling * 0.8, scanrange_scaling * 0.8,
                single_shard_ratio * 0.8, capped(put_scaling) * 0.8,
                capped(mixed_scaling) * 0.8, capped(delete_scaling) * 0.8,
-               capped(pdg_scaling) * 0.8, capped(delete_put_ratio) * 0.8,
-               capped(wal_ratio_1s1t) * 0.8,
+               capped(pdg_scaling) * 0.8,
+               capped(delete_put.ratio.median) * 0.8,
+               capped(wal_1s1t.ratio.median) * 0.8,
                std::min(read_amp_ratio, 1.2) * 0.8,
                // Clamped at 1.3 before the 0.8x: on a big host the
                // committed floor demands a real parallel win (>= ~1.04x

@@ -1054,7 +1054,10 @@ FilterFeedback Db::CollectFilterFeedback() const {
 
 bool Db::Get(uint64_t key, std::string* value) {
   if (sampler_ != nullptr) sampler_->RecordPoint(key);
-  return GetFrom(*versions_.Current(), key, value);
+  ProbeTally tally;
+  const bool found = GetFrom(*versions_.Current(), key, value, &tally);
+  tally.AddTo(&stats_);
+  return found;
 }
 
 std::vector<std::optional<std::string>> Db::MultiGet(
@@ -1063,13 +1066,18 @@ std::vector<std::optional<std::string>> Db::MultiGet(
   auto version = versions_.Current();
   std::vector<std::optional<std::string>> result(keys.size());
   std::string value;
+  ProbeTally tally;
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (GetFrom(*version, keys[i], &value)) result[i] = std::move(value);
+    if (GetFrom(*version, keys[i], &value, &tally)) {
+      result[i] = std::move(value);
+    }
   }
+  tally.AddTo(&stats_);
   return result;
 }
 
-bool Db::GetFrom(const Version& version, uint64_t key, std::string* value) {
+bool Db::GetFrom(const Version& version, uint64_t key, std::string* value,
+                 ProbeTally* tally) {
   // Newest-first walk; the FIRST entry found for the key decides. A
   // tombstone is a definite "deleted" — falling through to an older
   // source would resurrect the key.
@@ -1085,7 +1093,7 @@ bool Db::GetFrom(const Version& version, uint64_t key, std::string* value) {
     // can't contain the key at all — skip them before the filter probe
     // or read amplification grows with file count instead of shrinking.
     if (key < table->min_key() || key > table->max_key()) continue;
-    found = table->Find(key, value, &stats_);
+    found = table->Find(key, value, tally, &stats_);
   }
   return found == Lookup::kHit;
 }

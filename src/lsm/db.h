@@ -10,7 +10,8 @@
 //    byte budget) that keeps read amplification bounded;
 //  - one full filter block per SST, built through a pluggable
 //    FilterPolicy extended with range information (RangeMayMatch);
-//  - probe counts per Db (stats()) and filter outcomes per table,
+//  - probe counts per Db (stats(); a read call adds its point-probe
+//    counts once, when it returns) and filter outcomes per table,
 //    summed per backend (CollectFilterFeedback) — the measured FPR the
 //    adaptive planner reads.
 //
@@ -348,7 +349,10 @@ class Db {
   }
   /// The point-lookup walk of Get and MultiGet over `version`: true
   /// iff the newest entry for `key` is a live value, copied to *value.
-  bool GetFrom(const Version& version, uint64_t key, std::string* value);
+  /// Filter probes count into the caller's `*tally`, which the caller
+  /// adds to stats_ once per call; block reads go to stats_ directly.
+  bool GetFrom(const Version& version, uint64_t key, std::string* value,
+               ProbeTally* tally);
   /// Rebuilds the table tree from CURRENT → MANIFEST (falling back to
   /// the newest manifest on disk), quarantines tables it cannot use
   /// (unreadable, or no manifest to place them), writes a fresh

@@ -146,8 +146,8 @@ bool TableReader::ReadBlockAt(size_t index_pos, std::string* buffer,
   const uint64_t physical = entry.size + 4;
   const bool ok = ReadFileAt(entry.offset, physical, buffer);
   if (stats != nullptr) {
-    ++stats->blocks_read;
-    stats->bytes_read += physical;
+    stats->blocks_read.fetch_add(1, std::memory_order_relaxed);
+    stats->bytes_read.fetch_add(physical, std::memory_order_relaxed);
   }
   if (ok) {
     uint32_t expected = DecodeFixed32(buffer->data() + entry.size);
@@ -156,7 +156,7 @@ bool TableReader::ReadBlockAt(size_t index_pos, std::string* buffer,
       // Served as "block unreadable" (callers skip or stop), never as
       // garbage entries.
       if (stats != nullptr) {
-        ++stats->block_crc_errors;
+        stats->block_crc_errors.fetch_add(1, std::memory_order_relaxed);
         stats->SetLastError("sst: block crc mismatch in " + path_);
       }
       return false;
@@ -180,10 +180,14 @@ std::shared_ptr<const CachedBlock> TableReader::GetBlock(
   if (cache_ != nullptr) {
     auto cached = cache_->Lookup(table_id_, index_pos);
     if (cached != nullptr) {
-      if (stats != nullptr) ++stats->block_cache_hits;
+      if (stats != nullptr) {
+        stats->block_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      }
       return cached;
     }
-    if (stats != nullptr) ++stats->block_cache_misses;
+    if (stats != nullptr) {
+      stats->block_cache_misses.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   auto block = ReadBlock(index_pos, stats);
   if (block != nullptr && cache_ != nullptr) {
@@ -200,18 +204,16 @@ int64_t TableReader::FindBlock(uint64_t key) const {
   return static_cast<int64_t>(it - index_.begin());
 }
 
-Lookup TableReader::Find(uint64_t key, std::string* value,
+Lookup TableReader::Find(uint64_t key, std::string* value, ProbeTally* tally,
                          LsmStats* stats) const {
   const bool filtered = filter_ != nullptr;
   if (filtered) {
     const bool may_match = filter_->MayContain(key);
-    if (stats != nullptr) {
-      ++stats->filter_probes;
-      if (!may_match) ++stats->filter_negatives;
-    }
+    ++tally->probes;
     if (!may_match) {
       // Filters have no false negatives: a rejection is a definite
       // true negative.
+      ++tally->negatives;
       pt_neg_.fetch_add(1, std::memory_order_relaxed);
       return Lookup::kMiss;
     }
@@ -271,8 +273,8 @@ void TableReader::RangeMultiProbe(std::span<const uint64_t> los,
   rg_neg_.fetch_add(negatives, std::memory_order_relaxed);
   rg_allowed_.fetch_add(los.size() - negatives, std::memory_order_relaxed);
   if (stats != nullptr) {
-    stats->filter_probes += los.size();
-    stats->filter_negatives += negatives;
+    stats->filter_probes.fetch_add(los.size(), std::memory_order_relaxed);
+    stats->filter_negatives.fetch_add(negatives, std::memory_order_relaxed);
   }
 }
 

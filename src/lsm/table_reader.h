@@ -1,8 +1,12 @@
 // SST reader of the mini-LSM store. Each table counts its own filter
 // outcomes (allowed, false positive, rejected; see filter_outcomes()),
-// the one source of measured FPR; LsmStats counts probes and block
-// reads across tables. No read path takes a timestamp: Fig. 12.G's
-// probe/deserialization split is timed by bench_fig12g_breakdown.
+// the one source of measured FPR. LsmStats counts block reads across
+// tables as they happen, and filter probes across tables once per
+// call: a point probe counts into the caller's ProbeTally, which the
+// caller adds to LsmStats when its lookup ends (Db::Get, Db::MultiGet),
+// and RangeMultiProbe adds once per batch. No read path takes a
+// timestamp: Fig. 12.G's probe/deserialization split is timed by
+// bench_fig12g_breakdown.
 //
 // Reads go through an optional shared BlockCache: a data block is read
 // and parsed at most once while it stays resident. Every point probe
@@ -12,7 +16,8 @@
 // All read methods are const and safe to call from many threads at
 // once: file access uses positioned reads (pread) so no seek state is
 // shared, loaded filters are immutable, the block cache is internally
-// locked, and stats counters are atomics.
+// locked, and stats counters are relaxed atomics (a ProbeTally is
+// owned by one call and never shared).
 
 #ifndef BLOOMRF_LSM_TABLE_READER_H_
 #define BLOOMRF_LSM_TABLE_READER_H_
@@ -46,8 +51,10 @@ struct LsmStats {
   static constexpr size_t kStatsLevels = 8;
 
   // Filter probes over all tables, point and range, and how many the
-  // filter rejected. Measured FPR is per table and per backend instead
-  // (TableReader::filter_outcomes, Db::CollectFilterFeedback).
+  // filter rejected. Point probes are added once per Get/MultiGet call
+  // (ProbeTally), range probes once per table per batch
+  // (RangeMultiProbe). Measured FPR is per table and per backend
+  // instead (TableReader::filter_outcomes, Db::CollectFilterFeedback).
   std::atomic<uint64_t> filter_probes{0};
   std::atomic<uint64_t> filter_negatives{0};
   std::atomic<uint64_t> blocks_read{0};  // physical reads (cache misses incl.)
@@ -185,6 +192,20 @@ struct LsmStats {
   std::string last_error_;
 };
 
+/// Point filter probes of one read call and how many the filter
+/// rejected. TableReader::Find counts into it; the call adds it to
+/// LsmStats once when it ends, so a lookup that probes many tables
+/// makes two shared-counter updates instead of two per probe.
+struct ProbeTally {
+  uint64_t probes = 0;
+  uint64_t negatives = 0;
+
+  void AddTo(LsmStats* stats) const {
+    stats->filter_probes.fetch_add(probes, std::memory_order_relaxed);
+    stats->filter_negatives.fetch_add(negatives, std::memory_order_relaxed);
+  }
+};
+
 class TableReader {
  public:
   /// Opens `path` and validates its metadata before serving a byte:
@@ -210,8 +231,19 @@ class TableReader {
   /// fall through to an older table. A tombstone hit confirms the
   /// filter's answer (the key IS in the table), so it is not counted
   /// as a false positive; nor is a probe whose data block cannot be
-  /// read, whose outcome is unknown.
-  Lookup Find(uint64_t key, std::string* value, LsmStats* stats) const;
+  /// read, whose outcome is unknown. The filter probe, and whether the
+  /// filter rejected the key, count into `*tally` (non-null); block
+  /// reads and cache lookups count into `stats` (may be null).
+  Lookup Find(uint64_t key, std::string* value, ProbeTally* tally,
+              LsmStats* stats) const;
+
+  /// Single-table Find: the probe counts go straight into `stats`.
+  Lookup Find(uint64_t key, std::string* value, LsmStats* stats) const {
+    ProbeTally tally;
+    const Lookup found = Find(key, value, &tally, stats);
+    if (stats != nullptr) tally.AddTo(stats);
+    return found;
+  }
 
   /// Live-value lookup: Find == kHit. `value` may be null (existence
   /// check only). A tombstoned key reads as absent — single-table

@@ -10,7 +10,8 @@
 // and afterwards the concurrent-written store must match a
 // single-threaded replay of the same operations row for row.
 // A reader observing a partially published Version would trip these
-// (missing sealed data or duplicated/absent tables).
+// (missing sealed data or duplicated/absent tables). Readers sharing
+// one Db must also leave its filter probe counts exact.
 
 #include <gtest/gtest.h>
 
@@ -259,6 +260,110 @@ TEST_F(ConcurrentDbTest, WaitForFlushDrainsQueuedSeals) {
   EXPECT_EQ(db.flush_stats().sst_files, db.num_tables());
   std::string value;
   for (uint64_t k = 0; k < 5000; ++k) ASSERT_TRUE(db.Get(k, &value));
+}
+
+// Readers sharing one Db add their filter probes to stats() once per
+// call (point probes per Get/MultiGet, range probes per table per
+// batch); the Db-wide counts must stay exact under concurrency and
+// agree with the per-table outcome counters.
+TEST_F(ConcurrentDbTest, ProbeCountsStayExactUnderConcurrentReaders) {
+  DbOptions options;
+  options.dir = dir_ + "/db";
+  options.filter_policy = NewBloomRFPolicy(18.0, 1e6);
+  Db db(options);  // compaction is off: every flush stays an L0 table
+
+  const size_t kTables = 5;
+  Dataset data = MakeDataset(5000, Distribution::kUniform, 95);
+  const size_t per_table = data.keys.size() / kTables;
+  for (size_t i = 0; i < data.keys.size(); ++i) {
+    ASSERT_TRUE(db.Put(data.keys[i], MakeValue(data.keys[i], 16)));
+    if ((i + 1) % per_table == 0) {
+      ASSERT_TRUE(db.Flush());
+    }
+  }
+  ASSERT_EQ(db.level_table_counts()[0], kTables);
+
+  // The same fixed read mix on every thread: Gets (half present),
+  // 32-key MultiGets, 16-range ScanRanges and RangeMayMatch.
+  auto run_mix = [&db, &data] {
+    Rng rng(96);
+    auto point = [&](size_t i) {
+      return i % 2 == 0 ? data.keys[rng.Uniform(data.keys.size())]
+                        : rng.Next();
+    };
+    std::string value;
+    std::vector<uint64_t> batch(32), los(16), his(16);
+    for (int round = 0; round < 20; ++round) {
+      for (size_t i = 0; i < 16; ++i) {
+        const uint64_t key = point(i);
+        const bool found = db.Get(key, &value);
+        if (i % 2 == 0) {
+          EXPECT_TRUE(found) << key;
+        }
+      }
+      for (size_t i = 0; i < batch.size(); ++i) batch[i] = point(i);
+      db.MultiGet(batch);
+      for (size_t r = 0; r < los.size(); ++r) {
+        los[r] = rng.Next() >> 1;
+        his[r] = los[r] + rng.Uniform(1 << 20);
+      }
+      db.ScanRange(los, his, 8);
+      const uint64_t lo = rng.Next() >> 1;
+      db.RangeMayMatch(lo, lo + rng.Uniform(1 << 16));
+    }
+  };
+
+  // Db-wide counters next to the per-table outcomes summed over
+  // backends; only deltas are compared, as ResetStats keeps outcomes.
+  struct Counts {
+    uint64_t probes = 0, negatives = 0;
+    uint64_t outcome_probes = 0, outcome_negatives = 0;
+  };
+  auto snapshot = [&db] {
+    Counts c;
+    c.probes = db.stats().filter_probes.load(std::memory_order_relaxed);
+    c.negatives = db.stats().filter_negatives.load(std::memory_order_relaxed);
+    for (const BackendObservation& obs :
+         db.CollectFilterFeedback().backends) {
+      c.outcome_probes += obs.point_allowed + obs.point_negatives +
+                          obs.range_allowed + obs.range_negatives;
+      c.outcome_negatives += obs.point_negatives + obs.range_negatives;
+    }
+    return c;
+  };
+  auto delta = [](const Counts& before, const Counts& after) {
+    return Counts{after.probes - before.probes,
+                  after.negatives - before.negatives,
+                  after.outcome_probes - before.outcome_probes,
+                  after.outcome_negatives - before.outcome_negatives};
+  };
+
+  Counts before = snapshot();
+  run_mix();
+  const Counts one = delta(before, snapshot());
+  ASSERT_GT(one.negatives, 0u);
+  ASSERT_GT(one.probes, one.negatives);
+  EXPECT_EQ(one.probes, one.outcome_probes);
+  EXPECT_EQ(one.negatives, one.outcome_negatives);
+
+  const int kReaders = 4;
+  db.ResetStats();
+  before = snapshot();
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      run_mix();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  const Counts all = delta(before, snapshot());
+  EXPECT_EQ(all.probes, kReaders * one.probes);
+  EXPECT_EQ(all.probes, all.outcome_probes);
+  EXPECT_EQ(all.negatives, kReaders * one.negatives);
+  EXPECT_EQ(all.negatives, all.outcome_negatives);
 }
 
 // ShardedDb and Db must answer identically for every registered filter
