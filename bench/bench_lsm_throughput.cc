@@ -27,7 +27,10 @@
 // logging overhead the acceptance gate bounds (>= 0.75). It and the
 // `delete_put` ratio (delete-heavy/put-only, 1 shard, 1 thread) are
 // each the median of 7 interleaved pairs of fresh engines, alternating
-// which side runs first, with the quartiles beside it.
+// which side runs first, with the quartiles beside it. The
+// `single_shard` MultiGet ratio (1-shard ShardedDb over the plain Db
+// holding the same keys) is the median of 7 interleaved pairs of
+// single-threaded MultiGet passes over the two live engines.
 //
 // Writes BENCH_lsm_concurrent.json (override with --out=PATH),
 // including `hardware_concurrency` (scaling is bounded by the host's
@@ -63,6 +66,10 @@ namespace {
 using bench::Mops;
 
 constexpr size_t kMultiGetBatch = 1024;
+// Each window of the 1-shard/plain-Db MultiGet pairs repeats its pass
+// to last at least this long, so a short burst of scheduler noise does
+// not become the ratio.
+constexpr double kMinWindowSeconds = 0.1;
 constexpr size_t kScanBatch = 64;
 constexpr size_t kScanLimit = 32;
 
@@ -126,6 +133,31 @@ double TimedThreads(size_t threads, Fn fn) {
   return timer.ElapsedSeconds();
 }
 
+/// MultiGets `keys` in batches of kMultiGetBatch; returns the hits.
+template <typename Engine>
+uint64_t MultiGetPass(Engine* db, const std::vector<uint64_t>& keys) {
+  uint64_t hits = 0;
+  for (size_t base = 0; base < keys.size(); base += kMultiGetBatch) {
+    size_t n = std::min(kMultiGetBatch, keys.size() - base);
+    auto answers = db->MultiGet({keys.data() + base, n});
+    for (const auto& a : answers) hits += a.has_value();
+  }
+  return hits;
+}
+
+/// One timed window of single-threaded MultiGetPasses, repeated until
+/// it lasts kMinWindowSeconds, in Mops.
+template <typename Engine>
+double TimeMultiGets(Engine* db, const std::vector<uint64_t>& keys) {
+  Timer timer;
+  uint64_t ops = 0;
+  do {
+    MultiGetPass(db, keys);
+    ops += keys.size();
+  } while (timer.ElapsedSeconds() < kMinWindowSeconds);
+  return Mops(ops, timer.ElapsedSeconds());
+}
+
 template <typename Engine>
 CellResult BenchEngine(Engine* db, const Workload& w, size_t shards,
                        size_t threads) {
@@ -142,7 +174,7 @@ CellResult BenchEngine(Engine* db, const Workload& w, size_t shards,
   }
 
   // Warm the block cache so every cell measures the same residency.
-  { auto warm = db->MultiGet(point[0]); (void)warm; }
+  MultiGetPass(db, point[0]);
 
   // Best of two timed runs per phase: the first run doubles as warmup
   // and the max trims one-sided scheduler noise (same convention as
@@ -160,15 +192,8 @@ CellResult BenchEngine(Engine* db, const Workload& w, size_t shards,
   }
 
   for (int run = 0; run < 2; ++run) {
-    double secs = TimedThreads(threads, [&](size_t t) {
-      uint64_t hits = 0;
-      for (size_t base = 0; base < point[t].size(); base += kMultiGetBatch) {
-        size_t n = std::min(kMultiGetBatch, point[t].size() - base);
-        auto answers = db->MultiGet({point[t].data() + base, n});
-        for (const auto& a : answers) hits += a.has_value();
-      }
-      sink += hits;
-    });
+    double secs = TimedThreads(
+        threads, [&](size_t t) { sink += MultiGetPass(db, point[t]); });
     cell.multiget_mops = std::max(
         cell.multiget_mops, Mops(w.point_ops_per_thread * threads, secs));
   }
@@ -338,10 +363,10 @@ double BenchPutsOnly(MakeEngine make, const Workload& w, size_t threads) {
   return best;
 }
 
-// Interleaved pairs of fresh engines behind each guarded write-path
-// ratio (bench::TimePairs): the ratio is the median of the per-pair
-// ratios, so drift between distant phases of the bench run, or one
-// noisy window, does not become the ratio.
+// Interleaved pairs behind each guarded 1-shard ratio
+// (bench::TimePairs): the ratio is the median of the per-pair ratios,
+// so drift between distant phases of the bench run, or one noisy
+// window, does not become the ratio.
 constexpr int kRatioPairs = 7;
 
 }  // namespace
@@ -385,17 +410,16 @@ int main(int argc, char** argv) {
   db_options.memtable_bytes = 4 << 20;
   db_options.block_cache_bytes = 256 << 20;
   db_options.wal = false;  // read cells measure the probe path alone
-  CellResult baseline;
-  {
-    Db db(db_options);
-    for (uint64_t k : w.data.keys) db.Put(k, "0123456789abcdef");
-    db.Flush();
-    baseline = BenchEngine(&db, w, /*shards=*/1, /*threads=*/1);
-    std::printf("%-22s Get %7.2f Mops   MultiGet %7.2f Mops   ScanRange "
-                "%9.0f q/s\n",
-                "baseline Db (1 thr)", baseline.get_mops,
-                baseline.multiget_mops, baseline.scanrange_qps);
-  }
+  // Stays open for the 1-shard/plain-Db MultiGet pairs in the sweep.
+  Db plain(db_options);
+  for (uint64_t k : w.data.keys) plain.Put(k, "0123456789abcdef");
+  plain.Flush();
+  const CellResult baseline =
+      BenchEngine(&plain, w, /*shards=*/1, /*threads=*/1);
+  std::printf("%-22s Get %7.2f Mops   MultiGet %7.2f Mops   ScanRange "
+              "%9.0f q/s\n",
+              "baseline Db (1 thr)", baseline.get_mops,
+              baseline.multiget_mops, baseline.scanrange_qps);
 
   // ---- ShardedDb sweep ----------------------------------------------
   std::vector<size_t> shard_counts = smoke ? std::vector<size_t>{1, 8}
@@ -403,6 +427,7 @@ int main(int argc, char** argv) {
   std::vector<size_t> thread_counts = smoke ? std::vector<size_t>{1, 8}
                                             : std::vector<size_t>{1, 2, 4, 8};
   std::vector<CellResult> cells;
+  bench::PairedRatio single_shard;
   for (size_t shards : shard_counts) {
     ShardedDbOptions options;
     options.dir = base_dir + "/s" + std::to_string(shards);
@@ -423,6 +448,15 @@ int main(int argc, char** argv) {
                   shards, threads, cell.get_mops, cell.multiget_mops,
                   cell.scanrange_qps);
       cells.push_back(cell);
+    }
+    if (shards == 1) {
+      // With one shard, ShardedDb::MultiGet calls Db::MultiGet, so the
+      // ratio is the sharding layer's overhead alone: plain Db (a)
+      // against this engine (b), the same queries on one thread.
+      const std::vector<uint64_t> mix = MakePointMix(w, 0);
+      single_shard = bench::TimePairs(
+          kRatioPairs, [&] { return TimeMultiGets(&plain, mix); },
+          [&] { return TimeMultiGets(&db, mix); });
     }
   }
   // ---- Write path: Put-only and 50/50 mixed cells --------------------
@@ -661,7 +695,6 @@ int main(int argc, char** argv) {
   };
   const CellResult* s8t1 = cell_at(8, 1);
   const CellResult* s8t8 = cell_at(8, 8);
-  const CellResult* s1t1 = cell_at(1, 1);
   double multiget_scaling =
       s8t1 && s8t8 && s8t1->multiget_mops > 0
           ? s8t8->multiget_mops / s8t1->multiget_mops
@@ -670,13 +703,10 @@ int main(int argc, char** argv) {
       s8t1 && s8t8 && s8t1->scanrange_qps > 0
           ? s8t8->scanrange_qps / s8t1->scanrange_qps
           : 0;
-  double single_shard_ratio =
-      s1t1 && baseline.multiget_mops > 0
-          ? s1t1->multiget_mops / baseline.multiget_mops
-          : 0;
   std::printf("scaling 1->8 threads (8 shards): MultiGet %.2fx  ScanRange "
-              "%.2fx;  1-shard/plain-Db MultiGet ratio %.2f\n",
-              multiget_scaling, scanrange_scaling, single_shard_ratio);
+              "%.2fx;  1-shard/plain-Db MultiGet ratio %.2f [%.2f-%.2f]\n",
+              multiget_scaling, scanrange_scaling, single_shard.ratio.median,
+              single_shard.ratio.q1, single_shard.ratio.q3);
 
   // ---- JSON ----------------------------------------------------------
   std::FILE* json = std::fopen(out_path.c_str(), "w");
@@ -736,6 +766,13 @@ int main(int argc, char** argv) {
                delete_put.ratio.median, delete_put.ratio.q1,
                delete_put.ratio.q3);
   std::fprintf(json,
+               "  \"single_shard\": {\"db_multiget_mops\": %.3f, "
+               "\"sharded_multiget_mops\": %.3f, \"multiget_ratio\": %.3f, "
+               "\"multiget_ratio_quartiles\": [%.3f, %.3f]},\n",
+               single_shard.a_mops, single_shard.b_mops,
+               single_shard.ratio.median, single_shard.ratio.q1,
+               single_shard.ratio.q3);
+  std::fprintf(json,
                "  \"wal\": {\"put_mops_1s1t\": %.3f, "
                "\"put_ratio_1s1t\": %.3f, "
                "\"put_ratio_1s1t_quartiles\": [%.3f, %.3f], "
@@ -781,7 +818,7 @@ int main(int argc, char** argv) {
                "\"wal_put_ratio\": %.3f, \"read_amp_get_ratio\": %.3f, "
                "\"compaction_ingest_ratio_4t\": %.3f}\n}\n",
                multiget_scaling * 0.8, scanrange_scaling * 0.8,
-               single_shard_ratio * 0.8, capped(put_scaling) * 0.8,
+               single_shard.ratio.median * 0.8, capped(put_scaling) * 0.8,
                capped(mixed_scaling) * 0.8, capped(delete_scaling) * 0.8,
                capped(pdg_scaling) * 0.8,
                capped(delete_put.ratio.median) * 0.8,

@@ -26,10 +26,10 @@ benches write them as 0.8x of their measured values, scaling floors
 additionally clamped for low-core bench hosts) so the check catches
 real regressions — a batch path sliding back to scalar speed, a
 sharded fan-out serializing — rather than scheduler noise on shared CI
-runners. The batch-probe speedup and the two 1-shard/1-thread write
-ratios (WAL-on/off, delete/put) are medians of interleaved pairs the
-benches time themselves, so drift between two timed windows does not
-become the ratio.
+runners. The batch-probe speedup, the two 1-shard/1-thread write
+ratios (WAL-on/off, delete/put) and the 1-shard/plain-Db MultiGet
+ratio are medians of interleaved pairs the benches time themselves, so
+drift between two timed windows does not become the ratio.
 
 Usage: perf_guard.py CURRENT.json COMMITTED.json [ratio]
 """
@@ -84,15 +84,12 @@ def lsm_concurrent_checks(current, committed):
     guard = committed["guard"]
     t1 = scaling_cell(current, 8, 1)
     t8 = scaling_cell(current, 8, 8)
-    s1 = scaling_cell(current, 1, 1)
     multiget_scaling = (
         t8["multiget_mops"] / t1["multiget_mops"] if t1["multiget_mops"] else 0
     )
     scanrange_scaling = (
         t8["scanrange_qps"] / t1["scanrange_qps"] if t1["scanrange_qps"] else 0
     )
-    base = current["baseline"]["db_multiget_mops"]
-    single_shard_ratio = s1["multiget_mops"] / base if base else 0
     # Scaling is bounded by the runner's cores. When this run has fewer
     # than 8, the committed floor (possibly from a big bench host) is
     # unreachable for physical, not regression, reasons — only require
@@ -105,7 +102,8 @@ def lsm_concurrent_checks(current, committed):
          min(guard["multiget_scaling_8t"], scaling_cap)),
         ("scanrange 1->8-thread scaling", scanrange_scaling,
          min(guard["scanrange_scaling_8t"], scaling_cap)),
-        ("1-shard/plain-Db multiget ratio", single_shard_ratio,
+        ("1-shard/plain-Db multiget ratio",
+         current["single_shard"]["multiget_ratio"],
          guard["single_shard_multiget_ratio"]),
     ]
     # Write-path floors arrived with the group-commit WAL; tolerate a

@@ -19,7 +19,7 @@
 
 namespace bloomrf {
 
-class FencePointers : public Filter {
+class FencePointers : public PointRangeFilter {
  public:
   /// Builds from `sorted_keys` with a block size derived from the
   /// bits/key budget (each block costs 128 bits of fences).

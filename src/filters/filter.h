@@ -65,9 +65,6 @@ class PointRangeFilter {
   virtual std::string Serialize() const = 0;
 };
 
-/// Transitional alias: the pre-registry codebase called this Filter.
-using Filter = PointRangeFilter;
-
 /// Filters supporting online insertion (bloomRF, Bloom variants,
 /// Rosetta, Cuckoo). SuRF and fence pointers are offline-built.
 class OnlineFilter : public PointRangeFilter {

@@ -31,7 +31,7 @@
 
 namespace bloomrf {
 
-class Surf : public Filter {
+class Surf : public PointRangeFilter {
  public:
   struct Options {
     SurfSuffixType suffix_type = SurfSuffixType::kHash;

@@ -55,7 +55,6 @@ class BlockCache {
   void Insert(uint64_t table_id, uint64_t block_idx,
               std::shared_ptr<const CachedBlock> block);
 
-  size_t capacity_bytes() const { return capacity_bytes_; }
   size_t charge_bytes() const;
   uint64_t hits() const;
   uint64_t misses() const;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <system_error>
 #include <unordered_set>
+#include <utility>
 
 #include "lsm/merging_iterator.h"
 #include "lsm/table_builder.h"
@@ -118,7 +119,7 @@ Db::~Db() {
       stop_ = true;
     }
     flush_work_cv_.notify_all();
-    flush_thread_.join();  // worker drains the queue before exiting
+    flush_thread_.join();  // after one last drain pass
   }
   if (!compact_threads_.empty()) {
     {
@@ -431,7 +432,6 @@ bool Db::WriteBatch(std::span<const WriteOp> ops) {
 }
 
 bool Db::SealActive(bool force) {
-  QueuedFlush entry;
   {
     std::unique_lock<std::shared_mutex> seal_lock(seal_mu_);
     if (active_->empty()) return true;
@@ -440,30 +440,26 @@ bool Db::SealActive(bool force) {
     }
     auto fresh = std::make_shared<MemTable>();
     {
-      // One publication swaps in the fresh active memtable and records
-      // the old one as sealed, so no reader interleaving can miss it.
+      // One publication swaps in the fresh active memtable and queues
+      // the old one for flush, so no reader interleaving can miss it
+      // and seals queue in the order they happen.
       std::lock_guard<std::mutex> lock(version_mu_);
-      versions_.Publish(versions_.Current()->WithSealedActive(fresh));
+      versions_.Publish(
+          versions_.Current()->WithSealedActive(fresh, active_max_log_));
     }
-    entry.mem = active_;
-    entry.max_log = active_max_log_;
     active_ = std::move(fresh);
     if (options_.wal) RotateWal();
   }
+  if (!options_.background_flush) return DrainSealed();
   bool pending_failure = false;
   {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    flush_queue_.push_back(std::move(entry));
     // A previously failed flush parks the worker; sealing counts as a
     // retry trigger too, so a write-only application self-recovers once
     // the disk heals — and hears about the failure (return false)
-    // instead of growing the queue silently forever.
-    if (flush_error_) {
-      flush_error_ = false;
-      pending_failure = true;
-    }
+    // instead of growing the sealed list silently forever.
+    std::lock_guard<std::mutex> lock(flush_mu_);
+    pending_failure = std::exchange(flush_error_, false);
   }
-  if (!options_.background_flush) return DrainQueueInline();
   flush_work_cv_.notify_one();
   return !pending_failure;
 }
@@ -522,7 +518,7 @@ std::shared_ptr<const TableReader> Db::WriteSst(const MemTable& mem,
   return reader;
 }
 
-bool Db::FlushSealed(const QueuedFlush& entry) {
+bool Db::FlushSealed(const Version::Sealed& entry) {
   // The sealed memtable is dropped from the Version only once the SST
   // is written AND its manifest edit is durable; a failed flush keeps
   // the data queryable from the Version's sealed list (and its WAL on
@@ -560,52 +556,41 @@ bool Db::FlushSealed(const QueuedFlush& entry) {
   return true;
 }
 
-bool Db::DrainQueueInline() {
-  // One inline drainer at a time: without this, two sync-mode Flush
-  // callers could both write the queue-front memtable's SST.
-  std::lock_guard<std::mutex> drain_lock(inline_drain_mu_);
-  std::unique_lock<std::mutex> lock(flush_mu_);
-  while (!flush_queue_.empty()) {
-    QueuedFlush entry = flush_queue_.front();  // queued until success
-    lock.unlock();
-    bool ok = FlushSealed(entry);
-    lock.lock();
-    if (!ok) return false;  // retried (in order) by the next drain call
-    flush_queue_.pop_front();
+bool Db::DrainSealed() {
+  // One drainer at a time: two sync-mode callers could otherwise both
+  // write the oldest memtable's SST.
+  std::lock_guard<std::mutex> drain_lock(drain_mu_);
+  for (;;) {
+    const auto version = versions_.Current();
+    if (version->sealed().empty()) return true;
+    // A failure ends the pass: flushing a newer memtable past a stuck
+    // one would install its SST out of order, and its log deletion and
+    // manifest log number would drop the stuck memtable's writes.
+    if (!FlushSealed(version->sealed().front())) return false;
   }
-  return true;
 }
 
 void Db::FlushWorker() {
   std::unique_lock<std::mutex> lock(flush_mu_);
   for (;;) {
     // Park while idle — and also after a failure, instead of
-    // hot-looping against a broken disk: only a drain call (which
-    // clears flush_error_) or shutdown triggers the retry.
+    // hot-looping against a broken disk: a seal or a drain call (which
+    // clears flush_error_) triggers the retry. Shutdown runs one last
+    // pass; what it cannot flush keeps its logs for the next open. The
+    // sealed list is published under version_mu_, not flush_mu_, but
+    // SealActive takes flush_mu_ after publishing and before notifying,
+    // so this check cannot miss a seal.
     flush_work_cv_.wait(lock, [this] {
-      return stop_ || (!flush_queue_.empty() && !flush_error_);
+      return stop_ ||
+             (!flush_error_ && !versions_.Current()->sealed().empty());
     });
-    if (flush_queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    if (flush_error_ && !stop_) continue;  // parked until a retry trigger
-    flush_error_ = false;                  // shutdown: one final retry
-    QueuedFlush entry = flush_queue_.front();  // queued until success
+    const bool last_pass = stop_;
     lock.unlock();
-    bool ok = FlushSealed(entry);
+    const bool ok = DrainSealed();
     lock.lock();
-    if (ok) {
-      flush_queue_.pop_front();
-    } else {
-      flush_error_ = true;
-      // Shutdown cannot wait for the disk to heal: give this memtable
-      // up so the destructor's join terminates. With the WAL on
-      // nothing is lost — its log survives (deletion only follows a
-      // successful flush) and the next open replays it.
-      if (stop_) flush_queue_.pop_front();
-    }
+    flush_error_ = !ok;
     flush_done_cv_.notify_all();
+    if (last_pass) return;
   }
 }
 
@@ -615,15 +600,16 @@ bool Db::Flush() {
 }
 
 bool Db::WaitForFlush() {
-  if (!options_.background_flush) return DrainQueueInline();
+  if (!options_.background_flush) return DrainSealed();
   std::unique_lock<std::mutex> lock(flush_mu_);
   if (flush_error_) {
     // One retry per drain call; the flag comes back if it fails again.
     flush_error_ = false;
     flush_work_cv_.notify_all();
   }
-  flush_done_cv_.wait(lock,
-                      [this] { return flush_queue_.empty() || flush_error_; });
+  flush_done_cv_.wait(lock, [this] {
+    return flush_error_ || versions_.Current()->sealed().empty();
+  });
   return !flush_error_;
 }
 
@@ -1085,7 +1071,7 @@ bool Db::GetFrom(const Version& version, uint64_t key, std::string* value,
   const auto& sealed = version.sealed();
   for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
     if (found != Lookup::kMiss) break;
-    found = (*it)->Find(key, value);
+    found = it->mem->Find(key, value);
   }
   for (const TableReader* table : version.tables()) {
     if (found != Lookup::kMiss) break;
@@ -1132,7 +1118,7 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
     MergingIterator merged(his[i]);
     merged.AddMemTable(*version->active());
     for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-      merged.AddMemTable(**it);
+      merged.AddMemTable(*it->mem);
     }
     for (size_t t = 0; t < tables.size(); ++t) {
       if (may_match[t * n + i]) {
@@ -1170,8 +1156,8 @@ bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
     return false;
   };
   if (live_row(*version->active())) return true;
-  for (const auto& mem : version->sealed()) {
-    if (live_row(*mem)) return true;
+  for (const Version::Sealed& entry : version->sealed()) {
+    if (live_row(*entry.mem)) return true;
   }
   // Tables answer from their filters alone; every filtered table is
   // probed so the FPR counters see the query.

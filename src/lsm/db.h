@@ -30,6 +30,14 @@
 //    themselves are lock-free; sealing, and replacing a log whose
 //    append failed, take the lock exclusively for one pointer swap +
 //    WAL rotation).
+//  - Flush: the Version's sealed list is the flush queue. A seal
+//    appends to it in the same publication that swaps in a fresh
+//    active memtable, and DrainSealed flushes its oldest entry until
+//    none is left, stopping at the first failure. The background
+//    worker runs that drain (one last pass at shutdown keeps whatever
+//    it could not flush, whose logs replay on the next open); with
+//    DbOptions::background_flush off, the sealing writer and Flush()/
+//    WaitForFlush() run it on their own threads.
 //  - Durability: with DbOptions::wal every write is logged before it
 //    is applied, and a write whose log append failed is not applied
 //    at all. The durable table state lives in a versioned MANIFEST
@@ -64,7 +72,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -100,8 +107,9 @@ struct DbOptions {
   std::shared_ptr<BlockCache> block_cache;
   size_t block_cache_bytes = 4 << 20;
   /// Sealed memtables are written to SSTs by a background thread;
-  /// writers never wait on file I/O. Off = the sealing Put (or Flush
-  /// call) writes the SST synchronously, as before this option.
+  /// writers never wait on file I/O. Off = the sealing write (or the
+  /// Flush()/WaitForFlush() call) runs the same drain itself, on its
+  /// own thread.
   bool background_flush = true;
   /// Write-ahead log: every write is group-committed to a CRC-framed
   /// log before it is applied (a failed append applies nothing), the
@@ -198,9 +206,11 @@ struct DbRecoveryStats {
 class Db {
  public:
   explicit Db(DbOptions options);
-  /// Drains pending background flushes, parks the compaction thread,
-  /// syncs the WAL, then joins both threads. Unflushed memtable data
-  /// stays recoverable from the WAL (when enabled).
+  /// Runs one last drain of the sealed memtables on the flush thread,
+  /// parks the compaction workers, syncs the WAL, then joins the
+  /// threads. A memtable the drain could not flush keeps its logs, and
+  /// so does every newer one, so the next open replays them all (when
+  /// the WAL is on).
   ~Db();
 
   Db(const Db&) = delete;
@@ -272,9 +282,9 @@ class Db {
   /// install oldest-first) until one succeeds.
   bool Flush();
 
-  /// Waits for already-queued flushes only (does not seal the active
-  /// memtable), retrying a previously failed one first. Returns false
-  /// while the queue cannot drain.
+  /// Waits until every already-sealed memtable is flushed (does not
+  /// seal the active memtable), retrying a previously failed flush
+  /// first. Returns false while the sealed list cannot drain.
   bool WaitForFlush();
 
   /// Kicks the compaction scheduler and waits until the whole pipeline
@@ -333,14 +343,6 @@ class Db {
   }
 
  private:
-  struct QueuedFlush {
-    std::shared_ptr<const MemTable> mem;
-    /// Highest WAL number containing this memtable's data; logs up to
-    /// it are obsolete once the flush durably completes (rotation
-    /// guarantees every newer memtable only touches higher numbers).
-    uint64_t max_log = 0;
-  };
-
   std::string WalDirPath() const {
     return options_.wal_dir.empty() ? options_.dir : options_.wal_dir;
   }
@@ -372,15 +374,15 @@ class Db {
   /// Removes wal files numbered <= `max_log`.
   void DeleteLogsThrough(uint64_t max_log);
   /// Seals the active memtable into the current Version (one atomic
-  /// publication swaps in a fresh active and records the old one as
-  /// sealed), rotates the WAL, and queues the flush. `force` seals any
-  /// non-empty memtable; otherwise only one still over budget (a
-  /// concurrent sealer may have won).
+  /// publication swaps in a fresh active and appends the old one, with
+  /// its max_log, to the sealed list), rotates the WAL, and starts the
+  /// drain. `force` seals any non-empty memtable; otherwise only one
+  /// still over budget (a concurrent sealer may have won).
   bool SealActive(bool force);
   /// Writes one sealed memtable to an SST, appends the manifest edit,
   /// and swaps the memtable for the new table in the Version. The
   /// sealed memtable stays in the Version on any failure.
-  bool FlushSealed(const QueuedFlush& entry);
+  bool FlushSealed(const Version::Sealed& entry);
   /// Durably writes `mem` as a new SST through env_ and reopens it;
   /// fills *meta with its manifest metadata.
   std::shared_ptr<const TableReader> WriteSst(const MemTable& mem,
@@ -389,10 +391,13 @@ class Db {
   /// over the current Version's SSTs). Called after every publication
   /// that changes the table set.
   void UpdateTombstonesLive();
-  /// Synchronous-mode drain: flushes queued memtables front to back,
-  /// stopping (and keeping the failed one at the front for the next
-  /// call) on the first failure.
-  bool DrainQueueInline();
+  /// The one drain rule: flushes the current Version's oldest sealed
+  /// memtable until none is left. Stops at the first failure, keeping
+  /// the failed memtable at the front for the next call, so tables
+  /// install in seal order and no newer flush deletes the logs of an
+  /// older memtable. Runs on the flush worker, or on the caller's
+  /// thread with background_flush off.
+  bool DrainSealed();
   void FlushWorker();
 
   /// Appends `edit` to the live manifest, or — when the manifest is
@@ -474,22 +479,18 @@ class Db {
   /// SSTs; recovery skips logs at or below it.
   uint64_t flushed_through_log_ = 0;
 
-  // Flush pipeline, all guarded by flush_mu_. Sealed memtables drain
-  // strictly front to back — a memtable leaves the queue only once its
-  // SST is installed (or at shutdown after a final failed retry) — so
-  // tables always install in seal order and the Version invariant
-  // "every sealed memtable is newer than every table" holds even
-  // across failed flushes.
+  // Flush pipeline. The queue is the Version's sealed list; flush_mu_
+  // guards the worker handshake below.
   std::mutex flush_mu_;
   std::condition_variable flush_work_cv_;  // wakes the worker
   std::condition_variable flush_done_cv_;  // wakes Flush()/WaitForFlush()
-  std::deque<QueuedFlush> flush_queue_;
-  // Set when the queue-front flush failed; the worker parks instead of
-  // hot-looping, and stays set (every drain call reports false) until
-  // a Flush()/WaitForFlush() triggers a retry that succeeds.
+  // Set when the worker's drain stopped at a failure; the worker parks
+  // instead of hot-looping, and it stays set (every drain call reports
+  // false) until a seal or a Flush()/WaitForFlush() triggers a retry
+  // that succeeds.
   bool flush_error_ = false;
   bool stop_ = false;
-  std::mutex inline_drain_mu_;  // serializes sync-mode DrainQueueInline
+  std::mutex drain_mu_;  // one DrainSealed at a time
   std::thread flush_thread_;
 
   // Compaction scheduler, guarded by compact_mu_. compaction_threads

@@ -60,9 +60,6 @@ class MemTable {
                       static_cast<int64_t>(ValueLen(old));
       rep->bytes.fetch_add(static_cast<uint64_t>(delta),
                            std::memory_order_relaxed);
-      if (IsTombstone(old)) {
-        rep->tombstones.fetch_sub(1, std::memory_order_relaxed);
-      }
     }
   }
 
@@ -76,10 +73,8 @@ class MemTable {
     if (old == nullptr) {
       rep->bytes.fetch_add(8, std::memory_order_relaxed);
       rep->count.fetch_add(1, std::memory_order_relaxed);
-      rep->tombstones.fetch_add(1, std::memory_order_relaxed);
     } else if (!IsTombstone(old)) {
       rep->bytes.fetch_sub(ValueLen(old), std::memory_order_relaxed);
-      rep->tombstones.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -138,14 +133,6 @@ class MemTable {
   }
   size_t size() const { return rep_->count.load(std::memory_order_relaxed); }
   bool empty() const { return size() == 0; }
-  /// Tombstone entries currently live in this memtable (exact when
-  /// quiesced, like the byte accounting).
-  size_t tombstone_count() const {
-    return rep_->tombstones.load(std::memory_order_relaxed);
-  }
-  /// Arena bytes actually reserved (>= ApproximateBytes; for memory
-  /// accounting, not the flush threshold).
-  size_t MemoryUsage() const { return rep_->arena.MemoryUsage(); }
 
   /// Copies all entries (tombstones included) in sorted order.
   std::vector<ScanEntry> Snapshot() const {
@@ -168,7 +155,6 @@ class MemTable {
     SkipList list{&arena};
     std::atomic<uint64_t> bytes{0};
     std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> tombstones{0};
   };
 
   /// The value-state flag lives in bit 0 of the published pointer:

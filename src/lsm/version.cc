@@ -5,11 +5,11 @@
 namespace bloomrf {
 
 std::shared_ptr<const Version> Version::WithSealedActive(
-    std::shared_ptr<MemTable> fresh) const {
+    std::shared_ptr<MemTable> fresh, uint64_t max_log) const {
   std::shared_ptr<Version> next(new Version(Raw{}));
   next->active_ = std::move(fresh);
   next->sealed_ = sealed_;
-  next->sealed_.push_back(active_);
+  next->sealed_.push_back({active_, max_log});
   next->levels_ = levels_;
   next->tables_ = tables_;
   return next;
@@ -20,8 +20,8 @@ std::shared_ptr<const Version> Version::WithFlushed(
   std::shared_ptr<Version> next(new Version(Raw{}));
   next->active_ = active_;
   next->sealed_.reserve(sealed_.size());
-  for (const auto& mem : sealed_) {
-    if (mem.get() != flushed) next->sealed_.push_back(mem);
+  for (const Sealed& entry : sealed_) {
+    if (entry.mem.get() != flushed) next->sealed_.push_back(entry);
   }
   next->levels_ = levels_;
   next->levels_[0].push_back(std::move(table));

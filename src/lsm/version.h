@@ -34,6 +34,7 @@
 #ifndef BLOOMRF_LSM_VERSION_H_
 #define BLOOMRF_LSM_VERSION_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -50,13 +51,22 @@ class Version {
   /// Base version: fresh empty active memtable, one empty level.
   Version() : active_(std::make_shared<MemTable>()), levels_(1) {}
 
+  /// A sealed memtable and the highest WAL number holding its data:
+  /// logs up to it are obsolete once its flush durably completes
+  /// (rotation at every seal keeps newer memtables in newer logs).
+  struct Sealed {
+    std::shared_ptr<const MemTable> mem;
+    uint64_t max_log = 0;
+  };
+
   /// The memtable currently absorbing writes (newest data of all).
   const std::shared_ptr<MemTable>& active() const { return active_; }
-  /// Sealed memtables awaiting (or having failed) flush, oldest
-  /// first. Every sealed memtable is newer than every table.
-  const std::vector<std::shared_ptr<const MemTable>>& sealed() const {
-    return sealed_;
-  }
+  /// Sealed memtables awaiting (or having failed) flush, oldest first:
+  /// the Db's flush queue. Seals append under the seal lock and only
+  /// the front is ever flushed, so tables install in seal order and
+  /// every sealed memtable stays newer than every table, across failed
+  /// flushes too.
+  const std::vector<Sealed>& sealed() const { return sealed_; }
   /// levels()[0] = L0 in flush order (oldest first, files may
   /// overlap); levels()[i>=1] = a sorted run (by min_key) of disjoint
   /// files. Always at least one level.
@@ -76,10 +86,10 @@ class Version {
   }
 
   /// New Version whose active memtable is `fresh` and whose sealed
-  /// list gains the previously active memtable — the seal step, as one
-  /// atomic publication.
+  /// list gains the previously active memtable, tagged `max_log` — the
+  /// seal step and the flush enqueue, as one atomic publication.
   std::shared_ptr<const Version> WithSealedActive(
-      std::shared_ptr<MemTable> fresh) const;
+      std::shared_ptr<MemTable> fresh, uint64_t max_log) const;
 
   /// New Version with the sealed entry `flushed` removed (compared by
   /// address; a no-op removal is fine) and `table` appended to L0.
@@ -108,7 +118,7 @@ class Version {
   void OrderTables();
 
   std::shared_ptr<MemTable> active_;
-  std::vector<std::shared_ptr<const MemTable>> sealed_;
+  std::vector<Sealed> sealed_;
   std::vector<TableList> levels_;
   std::vector<const TableReader*> tables_;
 };

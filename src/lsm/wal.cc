@@ -347,32 +347,28 @@ bool WalWriter::Append(std::string_view record) {
     return ok;
   }
 
+  // A leader steps down only once pending_ is drained or the log has
+  // broken, and a broken log fails every Append above, so a new leader
+  // finds the queue empty: it commits its own record straight from the
+  // caller's buffer, skipping the queue copy entirely.
   leader_active_ = true;
-  uint64_t my_seq;
-  if (pending_.empty()) {
-    // Uncontended fast path: commit our own record straight from the
-    // caller's buffer, skipping the queue copy entirely.
-    my_seq = ++next_seq_;
-    if (!fsync_on_commit_) {
-      // The commit is just a memcpy into the mapping — cheaper than an
-      // unlock/relock pair, so do it under the mutex. (With fsync on,
-      // the msync dominates and the lock must be released so followers
-      // can enqueue into the next group.)
-      if (WriteBytes(record.data(), record.size())) {
-        committed_seq_ = my_seq;
-      } else {
-        broken_ = true;
-        if (stats_ != nullptr) {
-          stats_->SetLastError("wal: write failed on " + path_);
-        }
-      }
-      if (waiters_ > 0) cv_.notify_all();
+  const uint64_t my_seq = ++next_seq_;
+  if (!fsync_on_commit_) {
+    // The commit is just a memcpy into the mapping — cheaper than an
+    // unlock/relock pair, so do it under the mutex. (With fsync on,
+    // the msync dominates and the lock must be released so followers
+    // can enqueue into the next group.)
+    if (WriteBytes(record.data(), record.size())) {
+      committed_seq_ = my_seq;
     } else {
-      CommitGroup(lock, record.data(), record.size(), my_seq);
+      broken_ = true;
+      if (stats_ != nullptr) {
+        stats_->SetLastError("wal: write failed on " + path_);
+      }
     }
+    if (waiters_ > 0) cv_.notify_all();
   } else {
-    pending_.append(record);
-    my_seq = ++next_seq_;
+    CommitGroup(lock, record.data(), record.size(), my_seq);
   }
   // Drain whatever queued while we were (or still are) committing.
   while (!broken_ && committed_seq_ < next_seq_) {

@@ -51,15 +51,9 @@ class Arena {
         size_t capacity = bytes > kChunkBytes ? bytes : kChunkBytes;
         auto fresh = std::make_unique<Chunk>(capacity);
         head_.store(fresh.get(), std::memory_order_release);
-        memory_bytes_.fetch_add(capacity, std::memory_order_relaxed);
         chunks_.push_back(std::move(fresh));
       }
     }
-  }
-
-  /// Total bytes reserved from the system (not bytes handed out).
-  size_t MemoryUsage() const {
-    return memory_bytes_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -74,7 +68,6 @@ class Arena {
   std::atomic<Chunk*> head_{nullptr};
   std::mutex grow_mu_;                 // guards chunks_ growth
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::atomic<size_t> memory_bytes_{0};
 };
 
 }  // namespace bloomrf

@@ -432,6 +432,35 @@ TEST_F(DbTest, FailedFlushRetriesInSealOrderSynchronous) {
   EXPECT_EQ(value, "v2");
 }
 
+TEST_F(DbTest, ShutdownKeepsEveryMemtableItCannotFlush) {
+  // Two sealed memtables wait behind failed flushes at shutdown, and
+  // the destructor's last drain fails on the older one. It must stop
+  // there: flushing the newer memtable would move the manifest's log
+  // number past the older one's log and delete that log, losing its
+  // acknowledged write. Both logs must survive and replay.
+  FaultInjectionEnv fenv;
+  fenv.FailAlways("sst");
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewBloomPolicy(10.0);
+  options.env = &fenv;
+  {
+    Db db(options);
+    ASSERT_TRUE(db.Put(1, "one"));
+    EXPECT_FALSE(db.Flush());
+    ASSERT_TRUE(db.Put(2, "two"));
+    EXPECT_FALSE(db.Flush());
+    fenv.HealAll();
+    fenv.FailOnce("sst");  // the last drain's first flush fails
+  }
+  Db db(options);
+  std::string value;
+  ASSERT_TRUE(db.Get(1, &value));
+  EXPECT_EQ(value, "one");
+  ASSERT_TRUE(db.Get(2, &value));
+  EXPECT_EQ(value, "two");
+}
+
 TEST_F(DbTest, WorksWithEveryPolicy) {
   // Every registered backend runs through the same generic registry
   // policy; one legacy shim covers the parameter-carrying spellings.
