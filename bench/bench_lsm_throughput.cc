@@ -30,7 +30,10 @@
 // which side runs first, with the quartiles beside it. The
 // `single_shard` MultiGet ratio (1-shard ShardedDb over the plain Db
 // holding the same keys) is the median of 7 interleaved pairs of
-// single-threaded MultiGet passes over the two live engines.
+// single-threaded MultiGet windows over the two live engines, and the
+// `scaling_1to8` MultiGet and ScanRange ratios are the medians of 7
+// interleaved pairs of 1-thread and 8-thread windows over the loaded
+// 8-shard engine.
 //
 // Writes BENCH_lsm_concurrent.json (override with --out=PATH),
 // including `hardware_concurrency` (scaling is bounded by the host's
@@ -66,9 +69,9 @@ namespace {
 using bench::Mops;
 
 constexpr size_t kMultiGetBatch = 1024;
-// Each window of the 1-shard/plain-Db MultiGet pairs repeats its pass
-// to last at least this long, so a short burst of scheduler noise does
-// not become the ratio.
+// Each window of the paired ratios (1-shard/plain-Db MultiGet, 8-shard
+// 1->8-thread scaling) repeats its passes to last at least this long,
+// so a short burst of scheduler noise does not become the ratio.
 constexpr double kMinWindowSeconds = 0.1;
 constexpr size_t kScanBatch = 64;
 constexpr size_t kScanLimit = 32;
@@ -113,6 +116,23 @@ void MakeRangeMix(const Workload& w, uint64_t tid, std::vector<uint64_t>* los,
   }
 }
 
+/// Every client thread's query streams, indexed by thread id.
+struct Streams {
+  std::vector<std::vector<uint64_t>> point, los, his;
+};
+
+Streams MakeStreams(const Workload& w, size_t threads) {
+  Streams st;
+  st.point.resize(threads);
+  st.los.resize(threads);
+  st.his.resize(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    st.point[t] = MakePointMix(w, t);
+    MakeRangeMix(w, t, &st.los[t], &st.his[t]);
+  }
+  return st;
+}
+
 struct CellResult {
   size_t shards = 0;
   size_t threads = 0;
@@ -145,36 +165,46 @@ uint64_t MultiGetPass(Engine* db, const std::vector<uint64_t>& keys) {
   return hits;
 }
 
-/// One timed window of single-threaded MultiGetPasses, repeated until
-/// it lasts kMinWindowSeconds, in Mops.
+/// ScanRanges `los`/`his` in batches of kScanBatch; returns the rows.
 template <typename Engine>
-double TimeMultiGets(Engine* db, const std::vector<uint64_t>& keys) {
-  Timer timer;
-  uint64_t ops = 0;
-  do {
-    MultiGetPass(db, keys);
-    ops += keys.size();
-  } while (timer.ElapsedSeconds() < kMinWindowSeconds);
-  return Mops(ops, timer.ElapsedSeconds());
+uint64_t ScanRangePass(Engine* db, const std::vector<uint64_t>& los,
+                       const std::vector<uint64_t>& his) {
+  uint64_t rows = 0;
+  for (size_t base = 0; base < los.size(); base += kScanBatch) {
+    size_t n = std::min(kScanBatch, los.size() - base);
+    auto batches =
+        db->ScanRange({los.data() + base, n}, {his.data() + base, n},
+                      kScanLimit);
+    for (const auto& b : batches) rows += b.size();
+  }
+  return rows;
 }
 
+/// One timed window: rounds of `threads` client threads each running
+/// fn(tid), repeated until the window lasts kMinWindowSeconds; returns
+/// Mops at `ops_per_round` operations per round.
+template <typename Fn>
+double TimeWindow(size_t threads, uint64_t ops_per_round, Fn fn) {
+  double secs = 0;
+  uint64_t ops = 0;
+  do {
+    secs += TimedThreads(threads, fn);
+    ops += ops_per_round;
+  } while (secs < kMinWindowSeconds);
+  return Mops(ops, secs);
+}
+
+/// `st` holds at least `threads` streams, generated outside the timed
+/// region.
 template <typename Engine>
-CellResult BenchEngine(Engine* db, const Workload& w, size_t shards,
-                       size_t threads) {
+CellResult BenchEngine(Engine* db, const Workload& w, const Streams& st,
+                       size_t shards, size_t threads) {
   CellResult cell;
   cell.shards = shards;
   cell.threads = threads;
 
-  // Pre-generate every thread's streams outside the timed region.
-  std::vector<std::vector<uint64_t>> point(threads);
-  std::vector<std::vector<uint64_t>> los(threads), his(threads);
-  for (size_t t = 0; t < threads; ++t) {
-    point[t] = MakePointMix(w, t);
-    MakeRangeMix(w, t, &los[t], &his[t]);
-  }
-
   // Warm the block cache so every cell measures the same residency.
-  MultiGetPass(db, point[0]);
+  MultiGetPass(db, st.point[0]);
 
   // Best of two timed runs per phase: the first run doubles as warmup
   // and the max trims one-sided scheduler noise (same convention as
@@ -184,7 +214,7 @@ CellResult BenchEngine(Engine* db, const Workload& w, size_t shards,
     double secs = TimedThreads(threads, [&](size_t t) {
       uint64_t hits = 0;
       std::string value;
-      for (uint64_t q : point[t]) hits += db->Get(q, &value);
+      for (uint64_t q : st.point[t]) hits += db->Get(q, &value);
       sink += hits;
     });
     cell.get_mops =
@@ -193,21 +223,14 @@ CellResult BenchEngine(Engine* db, const Workload& w, size_t shards,
 
   for (int run = 0; run < 2; ++run) {
     double secs = TimedThreads(
-        threads, [&](size_t t) { sink += MultiGetPass(db, point[t]); });
+        threads, [&](size_t t) { sink += MultiGetPass(db, st.point[t]); });
     cell.multiget_mops = std::max(
         cell.multiget_mops, Mops(w.point_ops_per_thread * threads, secs));
   }
 
   for (int run = 0; run < 2; ++run) {
     double secs = TimedThreads(threads, [&](size_t t) {
-      uint64_t rows = 0;
-      for (size_t base = 0; base < los[t].size(); base += kScanBatch) {
-        size_t n = std::min(kScanBatch, los[t].size() - base);
-        auto batches = db->ScanRange({los[t].data() + base, n},
-                                     {his[t].data() + base, n}, kScanLimit);
-        for (const auto& b : batches) rows += b.size();
-      }
-      sink += rows;
+      sink += ScanRangePass(db, st.los[t], st.his[t]);
     });
     cell.scanrange_qps = std::max(
         cell.scanrange_qps,
@@ -414,8 +437,10 @@ int main(int argc, char** argv) {
   Db plain(db_options);
   for (uint64_t k : w.data.keys) plain.Put(k, "0123456789abcdef");
   plain.Flush();
+  // Streams for up to 8 client threads, shared by every read cell.
+  const Streams streams = MakeStreams(w, 8);
   const CellResult baseline =
-      BenchEngine(&plain, w, /*shards=*/1, /*threads=*/1);
+      BenchEngine(&plain, w, streams, /*shards=*/1, /*threads=*/1);
   std::printf("%-22s Get %7.2f Mops   MultiGet %7.2f Mops   ScanRange "
               "%9.0f q/s\n",
               "baseline Db (1 thr)", baseline.get_mops,
@@ -427,7 +452,7 @@ int main(int argc, char** argv) {
   std::vector<size_t> thread_counts = smoke ? std::vector<size_t>{1, 8}
                                             : std::vector<size_t>{1, 2, 4, 8};
   std::vector<CellResult> cells;
-  bench::PairedRatio single_shard;
+  bench::PairedRatio single_shard, multiget_scaling, scanrange_scaling;
   for (size_t shards : shard_counts) {
     ShardedDbOptions options;
     options.dir = base_dir + "/s" + std::to_string(shards);
@@ -442,7 +467,7 @@ int main(int argc, char** argv) {
     for (size_t threads : thread_counts) {
       // 1-thread cells keep the fan-out pool: that IS the shard
       // parallelism a single caller gets.
-      CellResult cell = BenchEngine(&db, w, shards, threads);
+      CellResult cell = BenchEngine(&db, w, streams, shards, threads);
       std::printf("shards=%zu threads=%zu     Get %7.2f Mops   MultiGet "
                   "%7.2f Mops   ScanRange %9.0f q/s\n",
                   shards, threads, cell.get_mops, cell.multiget_mops,
@@ -453,10 +478,35 @@ int main(int argc, char** argv) {
       // With one shard, ShardedDb::MultiGet calls Db::MultiGet, so the
       // ratio is the sharding layer's overhead alone: plain Db (a)
       // against this engine (b), the same queries on one thread.
-      const std::vector<uint64_t> mix = MakePointMix(w, 0);
-      single_shard = bench::TimePairs(
-          kRatioPairs, [&] { return TimeMultiGets(&plain, mix); },
-          [&] { return TimeMultiGets(&db, mix); });
+      const std::vector<uint64_t>& mix = streams.point[0];
+      auto multigets = [&](auto* engine) {
+        return TimeWindow(1, mix.size(),
+                          [&](size_t) { MultiGetPass(engine, mix); });
+      };
+      single_shard =
+          bench::TimePairs(kRatioPairs, [&] { return multigets(&plain); },
+                           [&] { return multigets(&db); });
+    }
+    if (shards == 8) {
+      // The guarded 1->8-thread scaling: 1-thread (a) against 8-thread
+      // (b) windows on this loaded engine.
+      auto multigets = [&](size_t threads) {
+        return TimeWindow(
+            threads, w.point_ops_per_thread * threads,
+            [&](size_t t) { MultiGetPass(&db, streams.point[t]); });
+      };
+      auto scans = [&](size_t threads) {
+        return 1e6 * TimeWindow(threads, w.scan_queries_per_thread * threads,
+                                [&](size_t t) {
+                                  ScanRangePass(&db, streams.los[t],
+                                                streams.his[t]);
+                                });
+      };
+      multiget_scaling =
+          bench::TimePairs(kRatioPairs, [&] { return multigets(1); },
+                           [&] { return multigets(8); });
+      scanrange_scaling = bench::TimePairs(
+          kRatioPairs, [&] { return scans(1); }, [&] { return scans(8); });
     }
   }
   // ---- Write path: Put-only and 50/50 mixed cells --------------------
@@ -659,7 +709,6 @@ int main(int argc, char** argv) {
         options.compaction = true;
         options.compaction_threads = ingest_widths[cfg];
         options.max_subcompactions = ingest_widths[cfg];
-        options.subcompaction_min_bytes = 0;
         options.l0_compaction_trigger = 4;
         options.level_base_bytes = 1 << 20;
         options.level_size_multiplier = 4;
@@ -687,26 +736,14 @@ int main(int argc, char** argv) {
               ingest_ratio_2t, ingest_ratio_4t);
   std::filesystem::remove_all(base_dir);
 
-  auto cell_at = [&](size_t shards, size_t threads) -> const CellResult* {
-    for (const CellResult& c : cells) {
-      if (c.shards == shards && c.threads == threads) return &c;
-    }
-    return nullptr;
-  };
-  const CellResult* s8t1 = cell_at(8, 1);
-  const CellResult* s8t8 = cell_at(8, 8);
-  double multiget_scaling =
-      s8t1 && s8t8 && s8t1->multiget_mops > 0
-          ? s8t8->multiget_mops / s8t1->multiget_mops
-          : 0;
-  double scanrange_scaling =
-      s8t1 && s8t8 && s8t1->scanrange_qps > 0
-          ? s8t8->scanrange_qps / s8t1->scanrange_qps
-          : 0;
-  std::printf("scaling 1->8 threads (8 shards): MultiGet %.2fx  ScanRange "
-              "%.2fx;  1-shard/plain-Db MultiGet ratio %.2f [%.2f-%.2f]\n",
-              multiget_scaling, scanrange_scaling, single_shard.ratio.median,
-              single_shard.ratio.q1, single_shard.ratio.q3);
+  std::printf("scaling 1->8 threads (8 shards): MultiGet %.2fx [%.2f-%.2f]  "
+              "ScanRange %.2fx [%.2f-%.2f];  1-shard/plain-Db MultiGet ratio "
+              "%.2f [%.2f-%.2f]\n",
+              multiget_scaling.ratio.median, multiget_scaling.ratio.q1,
+              multiget_scaling.ratio.q3, scanrange_scaling.ratio.median,
+              scanrange_scaling.ratio.q1, scanrange_scaling.ratio.q3,
+              single_shard.ratio.median, single_shard.ratio.q1,
+              single_shard.ratio.q3);
 
   // ---- JSON ----------------------------------------------------------
   std::FILE* json = std::fopen(out_path.c_str(), "w");
@@ -773,6 +810,19 @@ int main(int argc, char** argv) {
                single_shard.ratio.median, single_shard.ratio.q1,
                single_shard.ratio.q3);
   std::fprintf(json,
+               "  \"scaling_1to8\": {\"shards\": 8, "
+               "\"multiget_mops_1t\": %.3f, \"multiget_mops_8t\": %.3f, "
+               "\"multiget_ratio\": %.3f, "
+               "\"multiget_ratio_quartiles\": [%.3f, %.3f], "
+               "\"scanrange_qps_1t\": %.0f, \"scanrange_qps_8t\": %.0f, "
+               "\"scanrange_ratio\": %.3f, "
+               "\"scanrange_ratio_quartiles\": [%.3f, %.3f]},\n",
+               multiget_scaling.a_mops, multiget_scaling.b_mops,
+               multiget_scaling.ratio.median, multiget_scaling.ratio.q1,
+               multiget_scaling.ratio.q3, scanrange_scaling.a_mops,
+               scanrange_scaling.b_mops, scanrange_scaling.ratio.median,
+               scanrange_scaling.ratio.q1, scanrange_scaling.ratio.q3);
+  std::fprintf(json,
                "  \"wal\": {\"put_mops_1s1t\": %.3f, "
                "\"put_ratio_1s1t\": %.3f, "
                "\"put_ratio_1s1t_quartiles\": [%.3f, %.3f], "
@@ -817,7 +867,8 @@ int main(int argc, char** argv) {
                "\"delete_put_ratio\": %.3f, "
                "\"wal_put_ratio\": %.3f, \"read_amp_get_ratio\": %.3f, "
                "\"compaction_ingest_ratio_4t\": %.3f}\n}\n",
-               multiget_scaling * 0.8, scanrange_scaling * 0.8,
+               multiget_scaling.ratio.median * 0.8,
+               scanrange_scaling.ratio.median * 0.8,
                single_shard.ratio.median * 0.8, capped(put_scaling) * 0.8,
                capped(mixed_scaling) * 0.8, capped(delete_scaling) * 0.8,
                capped(pdg_scaling) * 0.8,

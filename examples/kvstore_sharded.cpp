@@ -66,12 +66,11 @@ int main(int argc, char** argv) {
   options.memtable_bytes = 256 << 10;  // several background flushes/shard
   options.block_cache_bytes = 64 << 20;
   // Background leveled compaction with the parallel scheduler: two
-  // workers per shard, jobs split into range-partitioned
-  // subcompactions (min_bytes 0 so even these small jobs split).
+  // workers per shard, every job split into two range-partitioned
+  // subcompactions on the pool all shards share.
   options.compaction = true;
   options.compaction_threads = 2;
   options.max_subcompactions = 2;
-  options.subcompaction_min_bytes = 0;
   options.l0_compaction_trigger = 4;
   options.level_base_bytes = 512 << 10;
   ShardedDb db(options);

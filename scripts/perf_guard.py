@@ -27,9 +27,10 @@ additionally clamped for low-core bench hosts) so the check catches
 real regressions — a batch path sliding back to scalar speed, a
 sharded fan-out serializing — rather than scheduler noise on shared CI
 runners. The batch-probe speedup, the two 1-shard/1-thread write
-ratios (WAL-on/off, delete/put) and the 1-shard/plain-Db MultiGet
-ratio are medians of interleaved pairs the benches time themselves, so
-drift between two timed windows does not become the ratio.
+ratios (WAL-on/off, delete/put), the 1-shard/plain-Db MultiGet ratio
+and the 8-shard MultiGet/ScanRange 1->8-thread scaling ratios are
+medians of interleaved pairs the benches time themselves, so drift
+between two timed windows does not become the ratio.
 
 Usage: perf_guard.py CURRENT.json COMMITTED.json [ratio]
 """
@@ -43,15 +44,6 @@ def speedup(doc, section, name):
         if row["filter"] == name:
             return row["speedup"]
     raise SystemExit(f"perf_guard: no '{name}' row in '{section}' section")
-
-
-def scaling_cell(doc, shards, threads):
-    for row in doc["scaling"]:
-        if row["shards"] == shards and row["threads"] == threads:
-            return row
-    raise SystemExit(
-        f"perf_guard: no scaling row for shards={shards} threads={threads}"
-    )
 
 
 def batch_probe_checks(current, committed):
@@ -82,14 +74,7 @@ def delete_cell(doc, shards, threads):
 
 def lsm_concurrent_checks(current, committed):
     guard = committed["guard"]
-    t1 = scaling_cell(current, 8, 1)
-    t8 = scaling_cell(current, 8, 8)
-    multiget_scaling = (
-        t8["multiget_mops"] / t1["multiget_mops"] if t1["multiget_mops"] else 0
-    )
-    scanrange_scaling = (
-        t8["scanrange_qps"] / t1["scanrange_qps"] if t1["scanrange_qps"] else 0
-    )
+    scaling = current["scaling_1to8"]
     # Scaling is bounded by the runner's cores. When this run has fewer
     # than 8, the committed floor (possibly from a big bench host) is
     # unreachable for physical, not regression, reasons — only require
@@ -98,9 +83,9 @@ def lsm_concurrent_checks(current, committed):
     hw = current.get("hardware_concurrency", 0)
     scaling_cap = 0.8 if hw and hw < 8 else float("inf")
     checks = [
-        ("multiget 1->8-thread scaling", multiget_scaling,
+        ("multiget 1->8-thread scaling", scaling["multiget_ratio"],
          min(guard["multiget_scaling_8t"], scaling_cap)),
-        ("scanrange 1->8-thread scaling", scanrange_scaling,
+        ("scanrange 1->8-thread scaling", scaling["scanrange_ratio"],
          min(guard["scanrange_scaling_8t"], scaling_cap)),
         ("1-shard/plain-Db multiget ratio",
          current["single_shard"]["multiget_ratio"],

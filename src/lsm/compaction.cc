@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "lsm/db.h"
+
 namespace bloomrf {
 
 namespace {
@@ -20,18 +22,23 @@ void AddOverlapping(const Version::TableList& level_files, uint32_t level,
 
 }  // namespace
 
-uint64_t LevelTargetBytes(const CompactionConfig& cfg, size_t level) {
-  uint64_t target = cfg.level_base_bytes;
-  for (size_t i = 1; i < level; ++i) target *= cfg.level_multiplier;
+uint64_t LevelTargetBytes(const DbOptions& options, size_t level) {
+  uint64_t target = options.level_base_bytes;
+  for (size_t i = 1; i < level; ++i) target *= options.level_size_multiplier;
   return target;
 }
 
+size_t SubcompactionFanOut(const DbOptions& options) {
+  if (options.max_subcompactions > 0) return options.max_subcompactions;
+  return std::max<size_t>(1, options.compaction_threads);
+}
+
 std::optional<CompactionJob> PickCompaction(const Version& v,
-                                            const CompactionConfig& cfg,
+                                            const DbOptions& options,
                                             std::vector<uint64_t>* cursors,
                                             uint64_t busy_levels) {
   const auto& levels = v.levels();
-  if (cfg.max_levels < 2) return std::nullopt;  // nowhere to compact to
+  if (options.max_levels < 2) return std::nullopt;  // nowhere to compact to
   const auto pair_free = [busy_levels](size_t level) {
     const uint64_t claim = (1ull << level) | (1ull << (level + 1));
     return (busy_levels & claim) == 0;
@@ -44,7 +51,7 @@ std::optional<CompactionJob> PickCompaction(const Version& v,
   // When L0/L1 are claimed by a running job, pressure further down can
   // still be picked — that is the whole point of the multi-job
   // scheduler.
-  if (levels[0].size() >= cfg.l0_trigger && pair_free(0)) {
+  if (levels[0].size() >= options.l0_compaction_trigger && pair_free(0)) {
     CompactionJob job;
     job.output_level = 1;
     uint64_t lo = UINT64_MAX, hi = 0;
@@ -61,11 +68,11 @@ std::optional<CompactionJob> PickCompaction(const Version& v,
   // Deeper levels: byte budget. One file per job — the one after the
   // level's cursor, wrapping, so successive jobs sweep the key space
   // instead of re-compacting one hot range.
-  for (size_t level = 1; level < levels.size() && level + 1 < cfg.max_levels;
-       ++level) {
+  for (size_t level = 1;
+       level < levels.size() && level + 1 < options.max_levels; ++level) {
     if (levels[level].empty()) continue;
     if (!pair_free(level)) continue;
-    if (v.level_bytes(level) <= LevelTargetBytes(cfg, level)) continue;
+    if (v.level_bytes(level) <= LevelTargetBytes(options, level)) continue;
 
     const uint64_t cursor =
         level < cursors->size() ? (*cursors)[level] : 0;

@@ -11,7 +11,10 @@
 //
 // Picking is pure — it inspects an immutable Version and returns a
 // job description; the Db's compaction scheduler executes the merge
-// and commits it through the MANIFEST + Version publication. With
+// and commits it through the MANIFEST + Version publication. The tree
+// shape (l0_compaction_trigger, level_base_bytes,
+// level_size_multiplier, max_levels) and the subcompaction fan-out are
+// read straight from the DbOptions the Db constructor clamped. With
 // several scheduler workers, each in-flight job claims its input and
 // output levels (CompactionClaimBits) and picking skips claimed levels
 // (`busy_levels`), so concurrent jobs always work disjoint level pairs
@@ -29,15 +32,14 @@
 
 namespace bloomrf {
 
-struct CompactionConfig {
-  size_t l0_trigger = 4;
-  uint64_t level_base_bytes = 8ull << 20;
-  size_t level_multiplier = 8;
-  size_t max_levels = 6;
-};
+struct DbOptions;
 
 /// Byte budget of level `i` (i >= 1) before it spills downward.
-uint64_t LevelTargetBytes(const CompactionConfig& cfg, size_t level);
+uint64_t LevelTargetBytes(const DbOptions& options, size_t level);
+
+/// Ranges one compaction job splits into: max_subcompactions, or
+/// compaction_threads when that is 0 (at least 1).
+size_t SubcompactionFanOut(const DbOptions& options);
 
 struct CompactionJob {
   size_t output_level = 1;
@@ -52,10 +54,10 @@ struct CompactionJob {
 /// Picks the most pressing job on `v` whose input AND output levels
 /// are all free in the `busy_levels` bitmask (bit i = level i claimed
 /// by an in-flight job), or nullopt when nothing eligible is over
-/// budget. `cursors` must hold cfg.max_levels entries and persists
+/// budget. `cursors` must hold options.max_levels entries and persists
 /// across calls (round-robin position per level).
 std::optional<CompactionJob> PickCompaction(const Version& v,
-                                            const CompactionConfig& cfg,
+                                            const DbOptions& options,
                                             std::vector<uint64_t>* cursors,
                                             uint64_t busy_levels = 0);
 

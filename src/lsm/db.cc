@@ -73,29 +73,25 @@ Db::Db(DbOptions options) : options_(std::move(options)) {
         std::make_shared<BlockCache>(options_.block_cache_bytes);
   }
   // Sampling is on when asked for explicitly or implied by an adaptive
-  // policy; a caller-supplied sampler is honored either way.
-  const bool wants_sampling =
-      options_.sample_queries ||
+  // policy.
+  if (options_.sample_queries ||
       (options_.filter_policy != nullptr &&
-       options_.filter_policy->WantsQueryFeedback());
-  if (options_.workload_sampler == nullptr && wants_sampling) {
-    options_.workload_sampler =
-        std::make_shared<WorkloadSampler>(kSamplerPeriodLog2);
+       options_.filter_policy->WantsQueryFeedback())) {
+    sampler_ = std::make_unique<WorkloadSampler>(kSamplerPeriodLog2);
   }
-  sampler_ = options_.workload_sampler.get();
-  compact_cfg_.l0_trigger = std::max<size_t>(2, options_.l0_compaction_trigger);
-  compact_cfg_.level_base_bytes = std::max<uint64_t>(1, options_.level_base_bytes);
-  compact_cfg_.level_multiplier =
+  options_.l0_compaction_trigger =
+      std::max<size_t>(2, options_.l0_compaction_trigger);
+  options_.level_base_bytes = std::max<uint64_t>(1, options_.level_base_bytes);
+  options_.level_size_multiplier =
       std::max<size_t>(2, options_.level_size_multiplier);
-  compact_cfg_.max_levels =
+  options_.max_levels =
       std::min<size_t>(64, std::max<size_t>(2, options_.max_levels));
-  compact_cursors_.assign(compact_cfg_.max_levels, 0);
-  subcompact_pool_ = options_.compaction_pool;
-  if (subcompact_pool_ == nullptr) {
+  compact_cursors_.assign(options_.max_levels, 0);
+  if (options_.compaction_pool == nullptr) {
     // The merging thread itself works one range (TaskGroup::Wait
     // steals), so a fan-out of N needs N-1 pool workers.
-    const size_t subs = EffectiveSubcompactions();
-    subcompact_pool_ = std::make_shared<ThreadPool>(subs > 1 ? subs - 1 : 0);
+    options_.compaction_pool =
+        std::make_shared<ThreadPool>(SubcompactionFanOut(options_) - 1);
   }
   Recover();
   active_ = versions_.Current()->active();
@@ -197,8 +193,10 @@ void Db::Recover() {
   }
 
   // Manifest first: CURRENT names the live one; a missing or torn
-  // CURRENT falls back to the newest manifest holding any decodable
-  // edits.
+  // CURRENT, or a live manifest with no decodable edit, falls back to
+  // the newest manifest holding any decodable edits. Every live
+  // manifest starts with a synced snapshot record, so an empty replay
+  // means its first record is corrupt, not that the tree is empty.
   ManifestState state;
   bool have_manifest = false;
   uint64_t manifest_number = ReadCurrentManifestNumber(options_.dir);
@@ -206,7 +204,7 @@ void Db::Recover() {
   if (manifest_number != 0 &&
       env_->FileExists(ManifestFileName(options_.dir, manifest_number))) {
     ManifestReplay(ManifestFileName(options_.dir, manifest_number), &state);
-    have_manifest = true;
+    have_manifest = state.edits > 0;
   }
   auto manifests = ListNumberedFiles(options_.dir, "MANIFEST-", "");
   if (!manifests.empty()) {
@@ -473,10 +471,8 @@ std::shared_ptr<const TableReader> Db::WriteSst(const MemTable& mem,
     // sketch and the measured FPR of every backend currently serving.
     feedback = CollectFilterFeedback();
     FilterBuildContext ctx;
-    ctx.sampler = sampler_;
+    ctx.sampler = sampler_.get();
     ctx.feedback = &feedback;
-    ctx.level = 0;
-    ctx.table_keys = mem.size();
     builder.SetFilterContext(ctx);
   }
   // A sealed memtable takes no more writes, so its cursor streams a
@@ -622,11 +618,6 @@ void Db::MaybeScheduleCompaction() {
   compact_work_cv_.notify_all();
 }
 
-size_t Db::EffectiveSubcompactions() const {
-  if (options_.max_subcompactions > 0) return options_.max_subcompactions;
-  return std::max<size_t>(1, options_.compaction_threads);
-}
-
 void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
                     const FilterBuildContext* build_ctx, uint64_t lo,
                     uint64_t hi, SubcompactionResult* result) {
@@ -643,7 +634,7 @@ void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
   // hold several disjoint files and later compactions can pick them
   // one at a time.
   const uint64_t target_file_bytes =
-      std::max<uint64_t>(1, compact_cfg_.level_base_bytes / 2);
+      std::max<uint64_t>(1, options_.level_base_bytes / 2);
   std::unique_ptr<TableBuilder> builder;
 
   auto finish_output = [&]() -> bool {
@@ -737,23 +728,21 @@ bool Db::RunCompaction(const CompactionJob& job) {
   FilterBuildContext build_ctx;
   if (sampler_ != nullptr) {
     feedback = CollectFilterFeedback();
-    build_ctx.sampler = sampler_;
+    build_ctx.sampler = sampler_.get();
     build_ctx.feedback = &feedback;
-    build_ctx.level = static_cast<uint32_t>(job.output_level);
   }
   const FilterBuildContext* ctx = sampler_ != nullptr ? &build_ctx : nullptr;
 
   // Range-partition the job: each range merges on its own worker
   // (the calling thread steals one), writes its own outputs, and all
-  // outputs commit below in ONE manifest edit. Small jobs stay serial.
-  size_t fan_out = EffectiveSubcompactions();
-  if (bytes_read < options_.subcompaction_min_bytes) fan_out = 1;
-  const auto ranges = PickSubcompactionRanges(job, fan_out);
+  // outputs commit below in ONE manifest edit.
+  const auto ranges =
+      PickSubcompactionRanges(job, SubcompactionFanOut(options_));
   std::vector<SubcompactionResult> results(ranges.size());
   if (ranges.size() == 1) {
     MergeRange(job, shadow, ctx, 0, UINT64_MAX, &results[0]);
   } else {
-    TaskGroup group(subcompact_pool_.get());
+    TaskGroup group(options_.compaction_pool.get());
     for (size_t i = 0; i < ranges.size(); ++i) {
       group.Submit([this, &job, &shadow, ctx, &ranges, &results, i] {
         MergeRange(job, shadow, ctx, ranges[i].first, ranges[i].second,
@@ -855,7 +844,7 @@ void Db::CompactionWorker() {
       });
       continue;
     }
-    auto job = PickCompaction(*versions_.Current(), compact_cfg_,
+    auto job = PickCompaction(*versions_.Current(), options_,
                               &compact_cursors_, compact_busy_levels_);
     if (!job.has_value()) {
       if (compact_inflight_ == 0) {
@@ -999,7 +988,7 @@ bool Db::CompactRange(uint64_t begin, uint64_t end) {
   // overlap), capped at the tree depth, so a full-range call digs the
   // data all the way down and maximizes tombstone drops.
   job.output_level =
-      std::min(std::max<size_t>(1, deepest), compact_cfg_.max_levels - 1);
+      std::min(std::max<size_t>(1, deepest), options_.max_levels - 1);
 
   bool ok = true;
   if (!job.inputs.empty()) ok = RunCompaction(job);

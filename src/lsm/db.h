@@ -13,7 +13,11 @@
 //  - probe counts per Db (stats(); a read call adds its point-probe
 //    counts once, when it returns) and filter outcomes per table,
 //    summed per backend (CollectFilterFeedback) — the measured FPR the
-//    adaptive planner reads.
+//    adaptive planner reads;
+//  - one options object per store, as RocksDB's Options: every setting
+//    is declared once, in DbOptions. ShardedDbOptions extends it with
+//    num_shards, and compaction picking (lsm/compaction.h) reads the
+//    tree shape from it after the constructor clamps it in place.
 //
 // Threading model (see README "Write path & durability"):
 //  - Get/MultiGet/RangeScan/ScanRange/RangeMayMatch are safe from any
@@ -150,16 +154,13 @@ struct DbOptions {
   /// jobs can never pick overlapping inputs. 1 = the serial behaviour.
   /// Also the default subcompaction fan-out.
   size_t compaction_threads = 1;
-  /// Range-partitioned subcompactions: one large job's key space is
-  /// split into up to this many disjoint ranges (cut at input-table
-  /// boundary keys weighted by bytes), each merged on its own worker
-  /// writing its own outputs, all committed in ONE manifest edit. 0 =
-  /// match compaction_threads.
+  /// Range-partitioned subcompactions: with a fan-out above 1 (see
+  /// SubcompactionFanOut), every job's key space is split into up to
+  /// this many disjoint ranges (cut at input-table boundary keys
+  /// weighted by bytes), each merged on its own worker writing its own
+  /// outputs, all committed in ONE manifest edit. 0 = match
+  /// compaction_threads.
   size_t max_subcompactions = 0;
-  /// Jobs with fewer total input bytes than this merge serially — the
-  /// split bookkeeping would cost more than it buys. Tests lower it to
-  /// force subcompactions on tiny trees.
-  uint64_t subcompaction_min_bytes = 8ull << 20;
   /// Worker pool the subcompactions fan out on; pass one instance to
   /// share it across Dbs (ShardedDb hands every shard the same pool).
   /// Null creates a private pool sized to the subcompaction fan-out.
@@ -168,14 +169,12 @@ struct DbOptions {
   std::shared_ptr<ThreadPool> compaction_pool;
   /// Workload sampling for the adaptive filter loop: every read path
   /// (Get/MultiGet/RangeScan/ScanRange/RangeMayMatch) records a 1-in-64
-  /// sample of its queries into a WorkloadSampler, which flush and
-  /// compaction hand to the filter policy at build time. On
+  /// sample of its queries into the Db's own WorkloadSampler, which
+  /// flush and compaction hand to the filter policy at build time. On
   /// automatically when the policy wants feedback
   /// (AdaptiveFilterPolicy); `sample_queries` forces it on for any
-  /// policy. A non-null `workload_sampler` is used as-is (sharing one
-  /// sampler across Dbs); null auto-creates one.
+  /// policy.
   bool sample_queries = false;
-  std::shared_ptr<WorkloadSampler> workload_sampler;
 };
 
 struct DbFlushStats {
@@ -316,9 +315,7 @@ class Db {
 
   /// The sampler observing this Db's queries; null unless sampling is
   /// on (see DbOptions::sample_queries).
-  const std::shared_ptr<WorkloadSampler>& workload_sampler() const {
-    return options_.workload_sampler;
-  }
+  WorkloadSampler* workload_sampler() const { return sampler_.get(); }
 
   /// Aggregated filter probe outcomes of every live table, grouped by
   /// filter backend — the measured-FPR feedback the planner uses to
@@ -423,9 +420,6 @@ class Db {
     bool ok = false;
     std::string error;
   };
-  /// DbOptions::max_subcompactions with its 0 = compaction_threads
-  /// default resolved.
-  size_t EffectiveSubcompactions() const;
   /// Merges `job`'s inputs restricted to keys in [lo, hi] through one
   /// MergingIterator (newest input wins duplicates) straight into
   /// TableBuilder, tombstones dropped per `shadow`,
@@ -444,11 +438,12 @@ class Db {
   bool RunCompaction(const CompactionJob& job);
   void CompactionWorker();
 
+  /// The caller's options, completed by the constructor: the
+  /// compaction shape clamped to workable values, and a null
+  /// block_cache or compaction_pool replaced by a private one.
   DbOptions options_;
   Env* env_ = nullptr;  // resolved: options_.env or Env::Default()
-  /// Raw alias of options_.workload_sampler (hot-path access without a
-  /// shared_ptr copy); null when sampling is off.
-  WorkloadSampler* sampler_ = nullptr;
+  std::unique_ptr<WorkloadSampler> sampler_;  // null when sampling is off
 
   // Write path. Writers (WriteBatch only) take seal_mu_ shared — among
   // themselves they are lock-free (concurrent skiplist inserts,
@@ -514,13 +509,8 @@ class Db {
   size_t compact_inflight_ = 0;         // background jobs running
   uint64_t compact_epoch_ = 0;          // bumped on scheduler state change
   std::vector<std::thread> compact_threads_;
-  CompactionConfig compact_cfg_;
   std::vector<uint64_t> compact_cursors_;  // guarded by compact_mu_
   Backoff compact_backoff_;                // guarded by compact_mu_
-  /// Subcompaction fan-out pool (options_.compaction_pool or private);
-  /// shared across every job of this Db, and across shards when the
-  /// ShardedDb passes one pool in.
-  std::shared_ptr<ThreadPool> subcompact_pool_;
 
   std::atomic<uint64_t> next_file_number_{1};
   LsmStats stats_;

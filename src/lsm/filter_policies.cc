@@ -14,6 +14,20 @@ namespace bloomrf {
 
 namespace {
 
+/// The one registry build: `entry`'s filter over `sorted_keys`, framed
+/// with its registry name. "" for an unknown backend (null entry) or a
+/// failed build; sizing from the key count is the factory's job (see
+/// OfflineViaOnline in builtin_filters.cc).
+std::string BuildFramedFilter(const FilterRegistry::Entry* entry,
+                              const std::vector<uint64_t>& sorted_keys,
+                              const FilterBuildParams& params) {
+  if (entry == nullptr) return "";
+  std::unique_ptr<PointRangeFilter> filter =
+      entry->build_from_sorted_keys(sorted_keys, params);
+  if (filter == nullptr) return "";
+  return FilterRegistry::Frame(entry->name, filter->Serialize());
+}
+
 class RegistryFilterPolicy : public FilterPolicy {
  public:
   // Entry pointers are stable (map nodes, never erased), so the
@@ -29,13 +43,7 @@ class RegistryFilterPolicy : public FilterPolicy {
 
   std::string CreateFilter(
       const std::vector<uint64_t>& sorted_keys) const override {
-    if (entry_ == nullptr) return "";
-    // Sizing from the key count is the factory's job (see
-    // OfflineViaOnline in builtin_filters.cc).
-    std::unique_ptr<PointRangeFilter> filter =
-        entry_->build_from_sorted_keys(sorted_keys, params_);
-    if (filter == nullptr) return "";
-    return FilterRegistry::Frame(entry_->name, filter->Serialize());
+    return BuildFramedFilter(entry_, sorted_keys, params_);
   }
 
   std::unique_ptr<PointRangeFilter> LoadFilter(
@@ -53,7 +61,7 @@ class RegistryFilterPolicy : public FilterPolicy {
 
 }  // namespace
 
-AdaptiveFilterPolicy::AdaptiveFilterPolicy(AdaptiveFilterOptions options)
+AdaptiveFilterPolicy::AdaptiveFilterPolicy(PlannerOptions options)
     : options_(std::move(options)) {
   last_plan_.backend = options_.fallback_backend;
   last_plan_.bits_per_key = options_.bits_per_key;
@@ -64,20 +72,6 @@ AdaptiveFilterPolicy::AdaptiveFilterPolicy(AdaptiveFilterOptions options)
 
 std::string AdaptiveFilterPolicy::Name() const { return "adaptive"; }
 
-std::string AdaptiveFilterPolicy::BuildFallback(
-    const std::vector<uint64_t>& sorted_keys) const {
-  const FilterRegistry::Entry* entry =
-      FilterRegistry::Instance().Find(options_.fallback_backend);
-  if (entry == nullptr) return "";
-  FilterBuildParams params;
-  params.bits_per_key = options_.bits_per_key;
-  params.max_range = options_.fallback_max_range;
-  std::unique_ptr<PointRangeFilter> filter =
-      entry->build_from_sorted_keys(sorted_keys, params);
-  if (filter == nullptr) return "";
-  return FilterRegistry::Frame(entry->name, filter->Serialize());
-}
-
 std::string AdaptiveFilterPolicy::CreateFilter(
     const std::vector<uint64_t>& sorted_keys) const {
   return CreateFilter(sorted_keys, FilterBuildContext{});
@@ -86,14 +80,6 @@ std::string AdaptiveFilterPolicy::CreateFilter(
 std::string AdaptiveFilterPolicy::CreateFilter(
     const std::vector<uint64_t>& sorted_keys,
     const FilterBuildContext& context) const {
-  PlannerOptions planner;
-  planner.bits_per_key = options_.bits_per_key;
-  planner.min_samples = options_.min_samples;
-  planner.fallback_backend = options_.fallback_backend;
-  planner.fallback_max_range = options_.fallback_max_range;
-  planner.feedback_min_probes = options_.feedback_min_probes;
-  planner.distrust_cap = options_.distrust_cap;
-
   FilterPlan plan;
   if (context.sampler == nullptr) {
     plan.backend = options_.fallback_backend;
@@ -102,10 +88,8 @@ std::string AdaptiveFilterPolicy::CreateFilter(
     plan.used_fallback = true;
     plan.rationale = "fallback: no workload sampler wired";
   } else {
-    // Plan from the actual key count, not the context hint: the filter
-    // must be sized for what it stores.
-    plan = PlanFilter(context.sampler->Snapshot(), sorted_keys.size(), planner,
-                      context.feedback);
+    plan = PlanFilter(context.sampler->Snapshot(), sorted_keys.size(),
+                      options_, context.feedback);
   }
 
   std::string block;
@@ -116,21 +100,18 @@ std::string AdaptiveFilterPolicy::CreateFilter(
     for (uint64_t key : sorted_keys) filter.Insert(key);
     block = FilterRegistry::Frame("bloomrf", filter.Serialize());
   } else {
-    const FilterRegistry::Entry* entry =
-        FilterRegistry::Instance().Find(plan.backend);
-    if (entry != nullptr) {
-      FilterBuildParams params;
-      params.bits_per_key = plan.bits_per_key;
-      params.max_range = plan.max_range;
-      params.prefix_level = plan.prefix_level;
-      std::unique_ptr<PointRangeFilter> filter =
-          entry->build_from_sorted_keys(sorted_keys, params);
-      if (filter != nullptr) {
-        block = FilterRegistry::Frame(entry->name, filter->Serialize());
-      }
-    }
+    const FilterRegistry& registry = FilterRegistry::Instance();
+    FilterBuildParams params;
+    params.bits_per_key = plan.bits_per_key;
+    params.max_range = plan.max_range;
+    params.prefix_level = plan.prefix_level;
+    block = BuildFramedFilter(registry.Find(plan.backend), sorted_keys, params);
     if (block.empty() && plan.backend != options_.fallback_backend) {
-      block = BuildFallback(sorted_keys);
+      FilterBuildParams fallback;
+      fallback.bits_per_key = options_.bits_per_key;
+      fallback.max_range = options_.fallback_max_range;
+      block = BuildFramedFilter(registry.Find(options_.fallback_backend),
+                                sorted_keys, fallback);
       plan.used_fallback = true;
       plan.rationale += " (backend build failed; fallback built)";
     }
@@ -169,7 +150,7 @@ uint64_t AdaptiveFilterPolicy::fallback_builds() const {
 }
 
 std::unique_ptr<AdaptiveFilterPolicy> NewAdaptiveFilterPolicy(
-    AdaptiveFilterOptions options) {
+    PlannerOptions options) {
   return std::make_unique<AdaptiveFilterPolicy>(std::move(options));
 }
 

@@ -5,10 +5,12 @@
 //
 // A policy builds a filter over the sorted keys of an SST at flush time
 // (CreateFilter) and reconstitutes a probe object from the stored
-// filter block at open time (LoadFilter). Since the registry refactor
-// there is exactly one policy implementation — a generic adapter that
-// resolves the backend by FilterRegistry name — and the probe side IS
-// the unified PointRangeFilter interface; filter blocks are
+// filter block at open time (LoadFilter). There are two policies: the
+// static one (NewRegistryPolicy) builds one backend named in the
+// FilterRegistry, and AdaptiveFilterPolicy picks the backend per table
+// through PlanFilter, configured by the planner's own PlannerOptions.
+// Both build through one registry helper, and the probe side IS the
+// unified PointRangeFilter interface; filter blocks are
 // registry-framed (`name | payload`), so any policy instance can load
 // any backend's block.
 
@@ -29,15 +31,13 @@
 
 namespace bloomrf {
 
-/// Everything the LSM knows about the table being built that a policy
-/// may want for filter selection. All pointers are borrowed for the
+/// What the LSM has learned about its workload, for a policy that
+/// selects a filter per table. Both pointers are borrowed for the
 /// duration of the CreateFilter call; either may be null (the policy
 /// must degrade to its static behavior).
 struct FilterBuildContext {
   const WorkloadSampler* sampler = nullptr;  ///< recent-query sketch
   const FilterFeedback* feedback = nullptr;  ///< measured FPR per backend
-  uint32_t level = 0;                        ///< output LSM level
-  uint64_t table_keys = 0;                   ///< planned key count (hint)
 };
 
 class FilterPolicy {
@@ -70,26 +70,18 @@ class FilterPolicy {
       std::string_view data) const = 0;
 };
 
-struct AdaptiveFilterOptions {
-  double bits_per_key = 16.0;
-  /// Built verbatim while the sampler has fewer than `min_samples`
-  /// observations (cold start, or sampling disabled).
-  std::string fallback_backend = "bloomrf";
-  double fallback_max_range = 1 << 16;
-  uint64_t min_samples = 32;
-  /// Feedback gates, forwarded to PlannerOptions.
-  uint64_t feedback_min_probes = 512;
-  double distrust_cap = 16.0;
-};
-
 /// The tentpole policy: re-plans the filter backend for every SST it
 /// builds (flush and compaction outputs alike) from the live workload
-/// snapshot plus measured false-positive feedback. Tables built under
-/// different plans coexist in one tree — blocks are registry-framed, so
-/// LoadFilter dispatches on the stored name.
+/// snapshot plus measured false-positive feedback, through PlanFilter
+/// with the given PlannerOptions. The fallback backend is built
+/// verbatim when no sampler is wired, while the sampler holds fewer
+/// than `min_samples` observations, and when the planned backend fails
+/// to build. Tables built under different plans coexist in one tree —
+/// blocks are registry-framed, so LoadFilter dispatches on the stored
+/// name.
 class AdaptiveFilterPolicy : public FilterPolicy {
  public:
-  explicit AdaptiveFilterPolicy(AdaptiveFilterOptions options = {});
+  explicit AdaptiveFilterPolicy(PlannerOptions options = {});
 
   std::string Name() const override;
   std::string CreateFilter(
@@ -106,9 +98,7 @@ class AdaptiveFilterPolicy : public FilterPolicy {
   uint64_t fallback_builds() const;
 
  private:
-  std::string BuildFallback(const std::vector<uint64_t>& sorted_keys) const;
-
-  AdaptiveFilterOptions options_;
+  PlannerOptions options_;
   mutable std::mutex mu_;  // guards the introspection state below
   mutable FilterPlan last_plan_;
   mutable uint64_t planned_builds_ = 0;
@@ -116,7 +106,7 @@ class AdaptiveFilterPolicy : public FilterPolicy {
 };
 
 std::unique_ptr<AdaptiveFilterPolicy> NewAdaptiveFilterPolicy(
-    AdaptiveFilterOptions options = {});
+    PlannerOptions options = {});
 
 /// The generic policy: backend selected by registry name ("bloomrf",
 /// "rosetta", ...), construction tuned via `params`.

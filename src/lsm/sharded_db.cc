@@ -10,43 +10,18 @@ ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
     options_.block_cache =
         std::make_shared<BlockCache>(options_.block_cache_bytes);
   }
-  // One subcompaction pool shared by every shard, sized for a single
-  // shard's fan-out: shard compactions already run in parallel with
-  // each other, so per-shard private pools would oversubscribe the
-  // host num_shards-fold.
-  std::shared_ptr<ThreadPool> compaction_pool;
-  const size_t subs = options_.max_subcompactions > 0
-                          ? options_.max_subcompactions
-                          : std::max<size_t>(1, options_.compaction_threads);
-  if (subs > 1) compaction_pool = std::make_shared<ThreadPool>(subs - 1);
+  if (options_.compaction_pool == nullptr) {
+    // Sized for a single shard's fan-out (see Db::Db): per-shard
+    // private pools would oversubscribe the host num_shards-fold.
+    options_.compaction_pool =
+        std::make_shared<ThreadPool>(SubcompactionFanOut(options_) - 1);
+  }
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
-    DbOptions shard_options;
-    shard_options.dir = options_.dir + "/shard-" + std::to_string(i);
-    shard_options.filter_policy = options_.filter_policy;
-    shard_options.block_size = options_.block_size;
-    shard_options.memtable_bytes = options_.memtable_bytes;
-    shard_options.block_cache = options_.block_cache;  // shared (may be null)
-    shard_options.block_cache_bytes = options_.block_cache_bytes;
-    shard_options.background_flush = options_.background_flush;
-    shard_options.wal = options_.wal;
-    shard_options.wal_fsync = options_.wal_fsync;
-    if (!options_.wal_dir.empty()) {
-      shard_options.wal_dir = options_.wal_dir + "/shard-" + std::to_string(i);
-    }
-    shard_options.env = options_.env;
-    shard_options.compaction = options_.compaction;
-    shard_options.l0_compaction_trigger = options_.l0_compaction_trigger;
-    shard_options.level_base_bytes = options_.level_base_bytes;
-    shard_options.level_size_multiplier = options_.level_size_multiplier;
-    shard_options.max_levels = options_.max_levels;
-    shard_options.compaction_threads = options_.compaction_threads;
-    shard_options.max_subcompactions = options_.max_subcompactions;
-    shard_options.subcompaction_min_bytes = options_.subcompaction_min_bytes;
-    shard_options.compaction_pool = compaction_pool;
-    // One sampler per shard (each shard Db creates its own): the
-    // adaptive loop tunes shard-local filters from shard-local traffic.
-    shard_options.sample_queries = options_.sample_queries;
+    DbOptions shard_options = options_;  // the DbOptions part
+    const std::string suffix = "/shard-" + std::to_string(i);
+    shard_options.dir += suffix;
+    if (!shard_options.wal_dir.empty()) shard_options.wal_dir += suffix;
     shards_.push_back(std::make_unique<Db>(std::move(shard_options)));
   }
   pool_ = std::make_unique<ThreadPool>(options_.num_shards);

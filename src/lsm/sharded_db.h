@@ -2,13 +2,14 @@
 //
 // Keys are routed by a mixed hash of the key (Mix64 % num_shards), so
 // each shard owns a disjoint key subset and runs its own memtable,
-// seal/flush pipeline and SST set; all shards share one BlockCache and
-// one FilterPolicy. Batch reads (MultiGet/ScanRange) and WriteBatch
-// fan out per shard on a small reusable ThreadPool of num_shards
-// workers (reads are reassembled in input order), so the sub-batches
-// of every shard run genuinely in parallel; Flush and
-// CompactRange fan out over every shard the same way. Point
-// Put/Delete/Get route directly with no pool hop.
+// seal/flush pipeline and SST set, all from the one DbOptions that
+// ShardedDbOptions extends; all shards share one BlockCache, one
+// subcompaction pool and one FilterPolicy. Batch reads (MultiGet/
+// ScanRange) and WriteBatch fan out per shard on a small reusable
+// ThreadPool of num_shards workers (reads are reassembled in input
+// order), so the sub-batches of every shard run genuinely in
+// parallel; Flush and CompactRange fan out over every shard the same
+// way. Point Put/Delete/Get route directly with no pool hop.
 //
 // Because sharding is by hash, a key range spans all shards: ScanRange
 // sends the whole batch to every shard and merges the per-shard rows
@@ -34,53 +35,17 @@
 
 namespace bloomrf {
 
-struct ShardedDbOptions {
-  std::string dir;  // shard i lives in dir/shard-i
-  /// Shared by every shard. Null disables filter blocks.
-  std::shared_ptr<FilterPolicy> filter_policy;
+/// Every DbOptions field configures each shard as it would one Db.
+/// Shard i lives in dir/shard-i, and logs under wal_dir/shard-i when
+/// wal_dir is set. A null block_cache becomes one cache of
+/// block_cache_bytes shared by all shards, and a null compaction_pool
+/// one subcompaction pool shared by all shards and sized for a single
+/// shard's fan-out (shard compactions already run in parallel with
+/// each other). Each shard keeps its own memtable of memtable_bytes,
+/// and with sampling on its own WorkloadSampler, so shard-local
+/// flushes and compactions tune from shard-local traffic.
+struct ShardedDbOptions : DbOptions {
   size_t num_shards = 8;
-  size_t block_size = 4096;
-  /// Per-shard memtable budget (the engine holds up to num_shards of
-  /// these in memory, plus sealed ones awaiting flush).
-  uint64_t memtable_bytes = 8ull << 20;
-  /// One cache shared across all shards; created with
-  /// `block_cache_bytes` when null (0 disables caching).
-  std::shared_ptr<BlockCache> block_cache;
-  size_t block_cache_bytes = 32 << 20;
-  bool background_flush = true;
-  /// Per-shard write-ahead log (see DbOptions::wal): every shard logs
-  /// its own writes and replays them on reopen. wal_dir, when set,
-  /// holds per-shard subdirectories wal_dir/shard-i.
-  bool wal = true;
-  bool wal_fsync = false;
-  std::string wal_dir;
-  /// Filesystem seam shared by every shard (see DbOptions::env). Null
-  /// = the process-wide POSIX Env.
-  Env* env = nullptr;
-  /// Per-shard background leveled compaction (see DbOptions). Each
-  /// shard runs its own compaction thread over its own level tree.
-  bool compaction = false;
-  size_t l0_compaction_trigger = 4;
-  uint64_t level_base_bytes = 8ull << 20;
-  size_t level_size_multiplier = 8;
-  size_t max_levels = 6;
-  /// Per-shard compaction scheduler width (see
-  /// DbOptions::compaction_threads). Each shard gets its own worker
-  /// set; shards already parallelize across each other, so > 1 mainly
-  /// helps skewed shards with deep trees.
-  size_t compaction_threads = 1;
-  /// Range-partitioned subcompactions per job (see
-  /// DbOptions::max_subcompactions). All shards share ONE
-  /// subcompaction pool sized for a single shard's fan-out, so
-  /// concurrent shard compactions queue their ranges rather than
-  /// oversubscribing the host.
-  size_t max_subcompactions = 0;
-  uint64_t subcompaction_min_bytes = 8ull << 20;
-  /// Per-shard workload sampling for the adaptive filter loop (see
-  /// DbOptions::sample_queries): each shard Db observes its own query
-  /// stream with its own sampler, so shard-local flushes and
-  /// compactions tune from shard-local traffic.
-  bool sample_queries = false;
 };
 
 class ShardedDb {

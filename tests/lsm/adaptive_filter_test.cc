@@ -276,7 +276,7 @@ TEST_F(AdaptiveFilterTest, AdaptivePolicySwitchesBackendOnWorkloadShift) {
 }
 
 TEST_F(AdaptiveFilterTest, AdaptivePolicyWithoutSamplerFallsBack) {
-  AdaptiveFilterOptions opts;
+  PlannerOptions opts;
   opts.fallback_backend = "bloomrf";
   auto policy = NewAdaptiveFilterPolicy(opts);
   std::vector<uint64_t> keys;

@@ -113,7 +113,6 @@ class CrashMatrixTest : public ::testing::Test {
       // while TWO manifest-edit producers race for the commit lock.
       options.compaction_threads = 2;
       options.max_subcompactions = 2;
-      options.subcompaction_min_bytes = 0;
     }
     return options;
   }

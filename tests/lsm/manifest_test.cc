@@ -351,6 +351,37 @@ TEST_F(ManifestDbTest, MissingCurrentFallsBackToNewestManifest) {
   EXPECT_GT(ReadCurrentManifestNumber(dir_), 0u);
 }
 
+TEST_F(ManifestDbTest, UnreadableLiveManifestQuarantinesTables) {
+  {
+    Db db(Options());
+    for (uint64_t k = 0; k < 500; ++k) db.Put(k, "v" + std::to_string(k));
+    ASSERT_TRUE(db.Flush());
+  }
+  const uint64_t live = ReadCurrentManifestNumber(dir_);
+  ASSERT_GT(live, 0u);
+  // The live manifest's first record (its snapshot) fails its CRC, and
+  // the flush deleted the logs: the SST holds the only copy of the
+  // data. With no decodable manifest nothing places it in the tree, so
+  // it must be set aside, never deleted as an orphan.
+  const std::string path = ManifestFileName(dir_, live);
+  std::string bytes = ReadFile(path);
+  ASSERT_FALSE(bytes.empty());
+  bytes[0] = static_cast<char>(bytes[0] ^ 0xff);
+  WriteFile(path, bytes);
+  Db db(Options());
+  EXPECT_FALSE(db.recovery_stats().manifest_clean);
+  EXPECT_EQ(db.recovery_stats().tables_loaded, 0u);
+  EXPECT_EQ(db.recovery_stats().tables_quarantined, 1u);
+  size_t sst = 0, corrupt = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() == ".sst") ++sst;
+    if (name.ends_with(".sst.corrupt")) ++corrupt;
+  }
+  EXPECT_EQ(sst, 0u);
+  EXPECT_EQ(corrupt, 1u);
+}
+
 TEST_F(ManifestDbTest, TornManifestTailIsToleratedOnReopen) {
   {
     Db db(Options());

@@ -71,7 +71,8 @@ class ParallelCompactionTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   /// Manual-compaction options: background compaction off so the test
-  /// owns the tree; `split` forces every job into subcompactions.
+  /// owns the tree; `split` raises the fan-out, so every job splits
+  /// into subcompactions.
   DbOptions ManualOptions(std::shared_ptr<FilterPolicy> policy,
                           const std::string& subdir, bool split) {
     DbOptions options;
@@ -84,7 +85,6 @@ class ParallelCompactionTest : public ::testing::Test {
     options.max_levels = 5;
     if (split) {
       options.max_subcompactions = 4;
-      options.subcompaction_min_bytes = 0;  // split even tiny jobs
     }
     return options;
   }
@@ -344,7 +344,6 @@ TEST_F(ParallelCompactionTest, ShardedDbCompactRangeFansOut) {
   options.compaction = true;
   options.compaction_threads = 2;
   options.max_subcompactions = 2;
-  options.subcompaction_min_bytes = 0;
   options.l0_compaction_trigger = 2;
   options.level_base_bytes = 16 << 10;
   options.level_size_multiplier = 2;

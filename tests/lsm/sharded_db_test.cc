@@ -237,6 +237,71 @@ TEST_F(ShardedDbTest, SharedBlockCacheAndStatsRollUp) {
   EXPECT_EQ(cleared.filter_probes, 0u);
 }
 
+TEST_F(ShardedDbTest, EveryShardRunsTheSharedDbOptions) {
+  // Sampling, the Env seam, the log directory and compaction are each
+  // set once, on the sharded options; every shard must run them.
+  FaultInjectionEnv fenv;
+  ShardedDbOptions options;
+  options.dir = dir_ + "/data";
+  options.wal_dir = dir_ + "/logs";
+  options.env = &fenv;
+  options.filter_policy = NewBloomPolicy(10.0);
+  options.num_shards = 3;
+  options.memtable_bytes = 1 << 20;  // sealed only by Flush
+  options.sample_queries = true;
+  options.compaction = true;
+  options.l0_compaction_trigger = 2;
+  ShardedDb db(options);
+
+  std::set<const WorkloadSampler*> samplers;
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    ASSERT_NE(db.shard(s).workload_sampler(), nullptr) << s;
+    samplers.insert(db.shard(s).workload_sampler());
+  }
+  EXPECT_EQ(samplers.size(), db.num_shards());  // one sampler per shard
+
+  auto count_logs = [](const std::string& dir) {
+    size_t logs = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".log") ++logs;
+    }
+    return logs;
+  };
+  for (uint64_t k = 0; k < 3000; ++k) ASSERT_TRUE(db.Put(k, MakeValue(k, 16)));
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    const std::string shard = "/shard-" + std::to_string(s);
+    EXPECT_GT(count_logs(options.wal_dir + shard), 0u) << s;
+    EXPECT_EQ(count_logs(options.dir + shard), 0u) << s;
+  }
+
+  fenv.FailAlways("sst");
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    EXPECT_FALSE(db.shard(s).Flush()) << s;
+    EXPECT_EQ(db.shard(s).num_tables(), 0u) << s;
+  }
+  fenv.HealAll();
+  ASSERT_TRUE(db.Flush());  // retries every shard's failed flush
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    EXPECT_EQ(db.shard(s).num_tables(), 1u) << s;
+  }
+
+  // A second L0 file per shard reaches the trigger of 2.
+  for (uint64_t k = 0; k < 3000; ++k) ASSERT_TRUE(db.Put(k, MakeValue(k, 24)));
+  ASSERT_TRUE(db.Flush());
+  ASSERT_TRUE(db.WaitForCompaction());
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    const std::vector<size_t> levels = db.shard(s).level_table_counts();
+    ASSERT_GT(levels.size(), 1u) << s;
+    EXPECT_EQ(levels[0], 0u) << s;
+    EXPECT_GT(levels[1], 0u) << s;
+  }
+  std::string value;
+  for (uint64_t k = 0; k < 3000; ++k) {
+    ASSERT_TRUE(db.Get(k, &value)) << k;
+    EXPECT_EQ(value, MakeValue(k, 24));
+  }
+}
+
 TEST_F(ShardedDbTest, SingleShardBehavesLikeDb) {
   ShardedDb sharded = MakeDb(NewBloomRFPolicy(18.0, 1e6), 1, 32 << 10);
   DbOptions options;
