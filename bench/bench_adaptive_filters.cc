@@ -19,9 +19,11 @@
 // 1.15x in at least one — i.e. the tuning loop converges to the right
 // backend and the sampling tax is negligible.
 //
-// The `sampler` section times the same point-Get workload on one
-// engine with sampling off vs on (interleaved best-of-3); the ratio
-// bounds the sampler's hot-path overhead (acceptance: >= 0.98).
+// The `sampler` section times the same point-Get workload on two
+// engines of the same shape, sampling off and on: the ratio is the
+// median of kSamplerPairs interleaved (off, on) pairs, alternating
+// which side runs first (bench::TimePairs), with its quartiles beside
+// it, and bounds the sampler's hot-path overhead (acceptance: >= 0.98).
 //
 // Writes BENCH_adaptive.json (--out=PATH) with conservative `guard`
 // floors (capped at the acceptance bars, then 0.9x'd by
@@ -51,6 +53,10 @@ using bench::Mops;
 constexpr std::string_view kValue = "0123456789abcdef";
 constexpr size_t kScanBatch = 64;
 constexpr size_t kScanLimit = 16;
+// Interleaved off/on pairs behind the sampler ratio: drift during the
+// run lands on both sides of each pair, and one noisy window moves
+// one pair's ratio, not the median.
+constexpr int kSamplerPairs = 7;
 
 struct PhaseWorkload {
   std::string name;
@@ -262,25 +268,24 @@ int main(int argc, char** argv) {
   adaptive_db.reset();
 
   // ---- Sampler overhead on point Gets -------------------------------
-  // Same engine shape, sampling off vs explicitly on, interleaved
-  // best-of-3 so both sides see the same machine state.
-  double sampler_off = 0, sampler_on = 0;
+  // Same engine shape, sampling off vs explicitly on, timed as
+  // interleaved pairs so both sides of each ratio see the same machine
+  // state.
+  bench::PairedRatio sampler;
   {
     auto db_off = MakeDb(base_dir + "/sampler-off",
                          NewBloomRFPolicy(16.0, 1 << 20), data);
     auto db_on = MakeDb(base_dir + "/sampler-on",
                         NewBloomRFPolicy(16.0, 1 << 20), data,
                         /*sample=*/true);
-    for (int run = 0; run < 4; ++run) {
-      sampler_off =
-          std::max(sampler_off, RunPhaseOnce(db_off.get(), phases[0]));
-      sampler_on = std::max(sampler_on, RunPhaseOnce(db_on.get(), phases[0]));
-    }
+    sampler = bench::TimePairs(
+        kSamplerPairs, [&] { return RunPhaseOnce(db_off.get(), phases[0]); },
+        [&] { return RunPhaseOnce(db_on.get(), phases[0]); });
   }
-  double sampler_ratio = sampler_off > 0 ? sampler_on / sampler_off : 0;
   std::printf("sampler overhead: Get off %7.3f Mops  on %7.3f Mops  "
-              "(ratio %.3f)\n",
-              sampler_off, sampler_on, sampler_ratio);
+              "(median ratio %.3f of %d pairs, quartiles %.3f-%.3f)\n",
+              sampler.a_mops, sampler.b_mops, sampler.ratio.median,
+              kSamplerPairs, sampler.ratio.q1, sampler.ratio.q3);
   std::filesystem::remove_all(base_dir);
 
   // ---- Ratios and JSON ----------------------------------------------
@@ -326,9 +331,11 @@ int main(int argc, char** argv) {
                  p + 1 < phases.size() ? "," : "");
   }
   std::fprintf(json,
-               "  ],\n  \"sampler\": {\"get_mops_off\": %.3f, "
-               "\"get_mops_on\": %.3f, \"ratio\": %.3f},\n",
-               sampler_off, sampler_on, sampler_ratio);
+               "  ],\n  \"sampler\": {\"pairs\": %d, \"get_mops_off\": %.3f, "
+               "\"get_mops_on\": %.3f, \"ratio\": %.3f, "
+               "\"ratio_quartiles\": [%.3f, %.3f]},\n",
+               kSamplerPairs, sampler.a_mops, sampler.b_mops,
+               sampler.ratio.median, sampler.ratio.q1, sampler.ratio.q3);
   // Floors capped at the acceptance bars (0.95 / 1.15 / 0.98): a
   // better measured run is reported, not demanded of every CI host.
   std::fprintf(json,
@@ -339,7 +346,7 @@ int main(int argc, char** argv) {
                "\"sampler_get_ratio\": %.3f}\n}\n",
                std::min(over_best[0], 0.95), std::min(over_best[1], 0.95),
                std::min(over_best[2], 0.95), std::min(over_worst_max, 1.15),
-               std::min(sampler_ratio, 0.98));
+               std::min(sampler.ratio.median, 0.98));
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

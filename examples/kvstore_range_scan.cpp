@@ -64,8 +64,9 @@ int main(int argc, char** argv) {
   // A batched scan: populated regions, a hot region scanned twice (the
   // repeat is served by the block cache), and a sweep of empty ranges
   // the filters exclude without touching disk — all through ONE
-  // Db::ScanRange call, so each SST's filter answers the whole batch
-  // in one RangeMultiProbe (a scalar MayContainRange per range).
+  // Db::ScanRange call, so each SST answers the whole batch in one
+  // RangeMultiProbe (a scalar MayContainRange per range that overlaps
+  // the SST's [min, max]).
   db.ResetStats();
   std::vector<uint64_t> los, his;
   for (size_t q = 0; q < 64; ++q) {

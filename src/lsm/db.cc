@@ -49,7 +49,7 @@ std::vector<std::pair<uint64_t, std::string>> ListNumberedFiles(
   std::vector<std::pair<uint64_t, std::string>> files;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    uint64_t number;
+    uint64_t number = 0;
     if (ParseNumberedFile(entry.path().filename().string(), stem, suffix,
                           &number)) {
       files.emplace_back(number, entry.path().string());
@@ -1094,9 +1094,9 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
   auto version = versions_.Current();
   if (limit == 0) return results;
 
-  // One batched filter probe per table; only the tables whose filter
-  // cannot exclude a range join that range's merge, and they read
-  // their blocks through the shared cache.
+  // One batched filter probe per table; only the tables whose span
+  // and filter cannot exclude a range join that range's merge, and
+  // they read their blocks through the shared cache.
   const std::vector<const TableReader*>& tables = version->tables();
   auto may_match = std::make_unique<bool[]>(tables.size() * n);
   for (size_t t = 0; t < tables.size(); ++t) {
@@ -1148,17 +1148,13 @@ bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
   for (const Version::Sealed& entry : version->sealed()) {
     if (live_row(*entry.mem)) return true;
   }
-  // Tables answer from their filters alone; every filtered table is
-  // probed so the FPR counters see the query.
+  // Tables answer from their spans and filters alone; every table the
+  // range overlaps is probed so the FPR counters see the query.
   bool any = false;
   for (const TableReader* table : version->tables()) {
-    if (table->filter() != nullptr) {
-      bool may_match = false;
-      table->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats_);
-      if (may_match) any = true;
-    } else {
-      if (lo <= table->max_key() && hi >= table->min_key()) any = true;
-    }
+    bool may_match = false;
+    table->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats_);
+    if (may_match) any = true;
   }
   return any;
 }

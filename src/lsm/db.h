@@ -257,10 +257,11 @@ class Db {
                                                           size_t limit = 1024);
 
   /// Batched range scan: result[i] holds the RangeScan(los[i], his[i],
-  /// limit) rows. Equivalent to N RangeScan calls but each table's
-  /// filter answers the whole batch in one call
-  /// (TableReader::RangeMultiProbe, a scalar MayContainRange per
-  /// range), and each range streams one MergingIterator over the
+  /// limit) rows. Equivalent to N RangeScan calls but each table
+  /// answers the whole batch in one call (TableReader::RangeMultiProbe:
+  /// a range that misses the table's [min, max] is skipped unprobed, as
+  /// Get skips keys, and the rest get a scalar MayContainRange clipped
+  /// to that span), and each range streams one MergingIterator over the
   /// memtables and the tables that admitted it, reading blocks through
   /// the shared block cache, so overlapping ranges parse each block
   /// once. Spans of unequal length return an empty result.
@@ -270,7 +271,8 @@ class Db {
 
   /// True iff some entry may exist in [lo, hi] — the pure filter-path
   /// probe used by the FPR experiments. Memtables answer exactly; each
-  /// table answers from its filter alone, so no data block is read.
+  /// table answers from its [min, max] span and its filter alone
+  /// (TableReader::RangeMultiProbe), so no data block is read.
   bool RangeMayMatch(uint64_t lo, uint64_t hi);
 
   /// Seals the active memtable (no-op when empty) and waits until

@@ -261,19 +261,27 @@ void TableReader::RangeMultiProbe(std::span<const uint64_t> los,
                                   std::span<const uint64_t> his,
                                   bool* may_match, LsmStats* stats) const {
   assert(los.size() == his.size());
-  if (filter_ == nullptr) {
-    std::fill(may_match, may_match + los.size(), true);
-    return;
-  }
-  filter_->MayContainRangeBatch(los, his, may_match);
+  size_t probes = 0;
   size_t negatives = 0;
   for (size_t i = 0; i < los.size(); ++i) {
-    if (!may_match[i]) ++negatives;
+    // A range that misses [min_key, max_key] holds none of this table's
+    // keys: no probe, no count, as Db::GetFrom skips keys outside it.
+    if (his[i] < min_key_ || los[i] > max_key_) {
+      may_match[i] = false;
+    } else if (filter_ == nullptr) {
+      may_match[i] = true;
+    } else {
+      ++probes;
+      may_match[i] = filter_->MayContainRange(std::max(los[i], min_key_),
+                                              std::min(his[i], max_key_));
+      if (!may_match[i]) ++negatives;
+    }
   }
+  if (probes == 0) return;
   rg_neg_.fetch_add(negatives, std::memory_order_relaxed);
-  rg_allowed_.fetch_add(los.size() - negatives, std::memory_order_relaxed);
+  rg_allowed_.fetch_add(probes - negatives, std::memory_order_relaxed);
   if (stats != nullptr) {
-    stats->filter_probes.fetch_add(los.size(), std::memory_order_relaxed);
+    stats->filter_probes.fetch_add(probes, std::memory_order_relaxed);
     stats->filter_negatives.fetch_add(negatives, std::memory_order_relaxed);
   }
 }

@@ -260,11 +260,12 @@ class TableReader {
   size_t MultiGet(std::span<const uint64_t> keys, Lookup* states,
                   std::string* values, LsmStats* stats) const;
 
-  /// Batched range filter probe: may_match[i] holds this table's
-  /// filter answer for [los[i], his[i]] (true when the table has no
-  /// filter) — the filter-side half of Db::ScanRange. One
-  /// MayContainRangeBatch call, which loops the scalar MayContainRange,
-  /// then one update of the table's outcome counters for the batch.
+  /// Batched range filter probe, the filter-side half of Db::ScanRange:
+  /// may_match[i] is false when [los[i], his[i]] misses [min_key(),
+  /// max_key()] (no probe, nothing counted), else the scalar
+  /// MayContainRange answer for the range clipped to that span (true
+  /// when the table has no filter). The probed ranges make one update
+  /// of the table's outcome counters and of `stats` per batch.
   void RangeMultiProbe(std::span<const uint64_t> los,
                        std::span<const uint64_t> his, bool* may_match,
                        LsmStats* stats) const;

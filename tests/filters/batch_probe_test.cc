@@ -5,7 +5,7 @@
 // within one batch, and adversarial intervals (lo == hi, full-domain,
 // layer/segment straddles, inverted). The point batches are planned
 // overrides; every range batch is PointRangeFilter's base-class loop,
-// which TableReader::RangeMultiProbe and perfbench's replay call. The
+// which perfbench's replay calls. The
 // registry builds advisor-tuned bloomRF configs only; the point-plan
 // branches those never reach are covered in
 // tests/core/probe_semantics_test.cc.

@@ -180,7 +180,7 @@ TEST(SurfTest, ExhaustiveSmallDomain) {
   std::set<uint64_t> keyset(keys.begin(), keys.end());
   Surf surf = Surf::BuildFromU64(keys, Opt(SurfSuffixType::kReal, 8));
   for (uint64_t y = 0; y < (1 << 16); ++y) {
-    if (keyset.count(y)) ASSERT_TRUE(surf.MayContain(y)) << y;
+    if (keyset.count(y)) { ASSERT_TRUE(surf.MayContain(y)) << y; }
   }
   Rng rng(50);
   for (int i = 0; i < 50000; ++i) {

@@ -132,7 +132,7 @@ void RunWriterReaderScenario(Engine* db, const std::vector<uint64_t>& keys,
         for (size_t j = 0; j < rows.size(); ++j) {
           ASSERT_GE(rows[j].first, lo);
           ASSERT_LE(rows[j].first, hi);
-          if (j > 0) ASSERT_LT(rows[j - 1].first, rows[j].first);
+          if (j > 0) { ASSERT_LT(rows[j - 1].first, rows[j].first); }
           ASSERT_TRUE(rows[j].second == ValueFor(rows[j].first, 1) ||
                       rows[j].second == ValueFor(rows[j].first, 2))
               << "phantom row " << rows[j].first;

@@ -177,7 +177,7 @@ TEST_F(DeleteTest, TableReaderSurfacesTombstonesOnEveryReadPath) {
   ASSERT_EQ(entries.size(), 9u);  // every key, tombstoned or not
   for (const auto& e : entries) {
     EXPECT_EQ(e.tombstone, e.key % 3 == 1) << e.key;
-    if (e.tombstone) EXPECT_TRUE(e.value.empty());
+    if (e.tombstone) { EXPECT_TRUE(e.value.empty()); }
   }
   std::vector<std::pair<uint64_t, std::string>> rows;
   for (TableReader::Iterator it(*reader, TableReader::ReadMode::kCached,

@@ -48,7 +48,7 @@ class MultiGetTest : public ::testing::Test {
     for (size_t i = 0; i < keys.size(); ++i) {
       bool found = db.Get(keys[i], &value);
       ASSERT_EQ(batched[i].has_value(), found) << "key " << keys[i];
-      if (found) EXPECT_EQ(*batched[i], value) << "key " << keys[i];
+      if (found) { EXPECT_EQ(*batched[i], value) << "key " << keys[i]; }
     }
   }
 

@@ -213,7 +213,7 @@ TEST_F(ParallelCompactionTest, CompactRangeCompactsOnlyTheRequestedRange) {
     std::string v = "v" + std::to_string(k);
     ASSERT_TRUE(db.Put(k, v));
     expected[k] = v;
-    if (k % 400 == 399) ASSERT_TRUE(db.Flush());
+    if (k % 400 == 399) { ASSERT_TRUE(db.Flush()); }
   }
   ASSERT_TRUE(db.Flush());
   ASSERT_TRUE(db.CompactAll());
@@ -327,7 +327,7 @@ TEST_F(ParallelCompactionTest, DestructorJoinsInFlightWork) {
       std::string v = "v" + std::to_string(k);
       ASSERT_TRUE(db.Put(k, v));
       expected[k] = v;
-      if (k % 300 == 299) ASSERT_TRUE(db.Flush());
+      if (k % 300 == 299) { ASSERT_TRUE(db.Flush()); }
     }
     // No WaitForCompaction: the destructor races the scheduler.
   }

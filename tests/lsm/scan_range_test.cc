@@ -160,5 +160,71 @@ TEST_F(ScanRangeTest, RepeatedBatchIsServedByBlockCache) {
   EXPECT_EQ(stats.blocks_read, 0u);
 }
 
+// A leveled run's files are key-disjoint, so a range probes only the
+// filters of the files whose [min, max] it overlaps, as Get does for
+// keys; a range across a file boundary still merges both files.
+TEST_F(ScanRangeTest, RangeProbesOnlyTheFilesItOverlaps) {
+  FilterBuildParams params;
+  params.bits_per_key = 18.0;
+  params.max_range = 1e6;
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewRegistryPolicy("bloomrf", params);
+  options.memtable_bytes = 64 << 10;
+  options.level_base_bytes = 64 << 10;  // outputs split near 32 KiB
+  Db db(options);
+  constexpr uint64_t kKeys = 20000;
+  for (uint64_t k = 0; k < kKeys; ++k) db.Put(k * 10, MakeValue(k, 16));
+  ASSERT_TRUE(db.Flush());
+  ASSERT_TRUE(db.CompactAll());
+  const std::vector<size_t> levels = db.level_table_counts();
+  ASSERT_EQ(levels[0], 0u);
+  ASSERT_EQ(*std::max_element(levels.begin(), levels.end()), db.num_tables());
+  ASSERT_GE(db.num_tables(), 2u);
+
+  // Keys 10 and 20 lie inside the first file's span.
+  db.ResetStats();
+  auto rows = db.ScanRange(std::vector<uint64_t>{10},
+                           std::vector<uint64_t>{20});
+  ASSERT_EQ(rows[0].size(), 2u);
+  EXPECT_EQ(rows[0][0].first, 10u);
+  EXPECT_EQ(rows[0][1].first, 20u);
+  EXPECT_EQ(db.stats().filter_probes, 1u);
+  const FilterFeedback feedback = db.CollectFilterFeedback();
+  const BackendObservation* bloomrf = feedback.Find("bloomrf");
+  ASSERT_NE(bloomrf, nullptr);
+  EXPECT_EQ(bloomrf->range_allowed + bloomrf->range_negatives, 1u);
+
+  // [0, hi] overlaps one file until hi reaches the second file's min
+  // key; find that key by the probe count of RangeMayMatch.
+  auto files_overlapping = [&db](uint64_t lo, uint64_t hi) {
+    db.ResetStats();
+    db.RangeMayMatch(lo, hi);
+    return db.stats().filter_probes.load();
+  };
+  // Invariant: [0, one_file] overlaps 1 file, [0, second_min] >= 2.
+  uint64_t one_file = 0, second_min = (kKeys - 1) * 10;
+  ASSERT_EQ(files_overlapping(0, one_file), 1u);
+  ASSERT_GE(files_overlapping(0, second_min), 2u);
+  while (second_min - one_file > 1) {
+    const uint64_t mid = one_file + (second_min - one_file) / 2;
+    (files_overlapping(0, mid) >= 2 ? second_min : one_file) = mid;
+  }
+  ASSERT_EQ(second_min % 10, 0u);
+
+  // [second_min - 10, second_min] straddles the boundary: the first
+  // file's last key and the second file's first key.
+  const uint64_t first_max = second_min - 10;
+  db.ResetStats();
+  rows = db.ScanRange(std::vector<uint64_t>{first_max},
+                      std::vector<uint64_t>{second_min});
+  ASSERT_EQ(rows[0].size(), 2u);
+  EXPECT_EQ(rows[0][0].first, first_max);
+  EXPECT_EQ(rows[0][1].first, second_min);
+  EXPECT_EQ(rows[0][0].second, MakeValue(first_max / 10, 16));
+  EXPECT_EQ(rows[0][1].second, MakeValue(second_min / 10, 16));
+  EXPECT_EQ(db.stats().filter_probes, 2u);
+}
+
 }  // namespace
 }  // namespace bloomrf

@@ -78,7 +78,7 @@ TEST_F(ShardedDbTest, MultiGetMatchesGet) {
   for (size_t i = 0; i < probe.size(); ++i) {
     bool hit = db.Get(probe[i], &value);
     ASSERT_EQ(batch[i].has_value(), hit) << i;
-    if (hit) EXPECT_EQ(*batch[i], value);
+    if (hit) { EXPECT_EQ(*batch[i], value); }
   }
 }
 

@@ -129,7 +129,7 @@ TEST(SkipListTest, ConcurrentInsertStress) {
       uint64_t prev = 0;
       bool first = true;
       for (it.SeekToFirst(); it.Valid(); it.Next()) {
-        if (!first) ASSERT_GT(it.key(), prev);
+        if (!first) { ASSERT_GT(it.key(), prev); }
         prev = it.key();
         first = false;
         ASSERT_NE(it.value(), nullptr);
@@ -167,7 +167,7 @@ TEST(SkipListTest, ConcurrentInsertStress) {
   bool first = true;
   SkipList::Iterator it(&list);
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    if (!first) ASSERT_GT(it.key(), prev) << "duplicate or disorder";
+    if (!first) { ASSERT_GT(it.key(), prev) << "duplicate or disorder"; }
     prev = it.key();
     first = false;
     ++count;

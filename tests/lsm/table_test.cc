@@ -70,10 +70,12 @@ TEST_F(TableTest, BuildAndReadBack) {
 TEST_F(TableTest, RangeScanHonoursFilter) {
   auto policy = NewBloomRFPolicy(18.0, 1e6);
   TableBuilder builder(policy.get(), 1024);
-  // Keys clustered in [1e9, 1e9 + 1e6].
+  // Keys clustered in [1e9, 1e9 + 1e6], and one key at 2^62 so the
+  // table's [min, max] span covers the far-away probes below.
   for (uint64_t k = 0; k < 5000; ++k) {
     builder.Add(1000000000 + k * 200, "v");
   }
+  builder.Add(uint64_t{1} << 62, "v");
   ASSERT_TRUE(builder.WriteTo(dir_ + "/t.sst", nullptr));
   LsmStats stats;
   auto reader = TableReader::Open(dir_ + "/t.sst", policy.get(), &stats);
@@ -97,9 +99,22 @@ TEST_F(TableTest, RangeScanHonoursFilter) {
     }
   }
   EXPECT_GE(excluded, 15u);
+  EXPECT_EQ(stats.filter_probes, 20u);
   EXPECT_EQ(stats.filter_negatives, excluded);
   // Negative probes read no blocks; only the (rare) positives may.
   EXPECT_LE(stats.blocks_read, 20u - excluded);
+
+  // Ranges outside [min, max] are answered by the span alone: no probe,
+  // no block read.
+  stats.Reset();
+  out.clear();
+  EXPECT_FALSE(ProbeAndScan(*reader, 0, 999999999, 100, &out, &stats));
+  EXPECT_FALSE(
+      ProbeAndScan(*reader, (uint64_t{1} << 62) + 1, ~uint64_t{0}, 100, &out,
+                   &stats));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(stats.filter_probes, 0u);
+  EXPECT_EQ(stats.blocks_read, 0u);
 }
 
 TEST_F(TableTest, NullPolicyMeansNoFilter) {

@@ -205,7 +205,7 @@ TEST_F(WalTest, EveryTruncationPointIsSafeOverDeleteRecords) {
     for (size_t i = 0; i < ops.size(); ++i) {
       EXPECT_EQ(ops[i].key, i);
       EXPECT_EQ(ops[i].is_delete, i % 2 == 1);
-      if (!ops[i].is_delete) EXPECT_EQ(ops[i].value, std::string(7, 'p'));
+      if (!ops[i].is_delete) { EXPECT_EQ(ops[i].value, std::string(7, 'p')); }
     }
   }
 }
