@@ -22,8 +22,9 @@
 // The `sampler` section times the same point-Get workload on two
 // engines of the same shape, sampling off and on: the ratio is the
 // median of kSamplerPairs interleaved (off, on) pairs, alternating
-// which side runs first (bench::TimePairs), with its quartiles beside
-// it, and bounds the sampler's hot-path overhead (acceptance: >= 0.98).
+// which side runs first (bench::TimePairs), each pair on two freshly
+// built engines, with its quartiles beside it, and bounds the
+// sampler's hot-path overhead (acceptance: >= 0.98).
 //
 // Writes BENCH_adaptive.json (--out=PATH) with conservative `guard`
 // floors (capped at the acceptance bars, then 0.9x'd by
@@ -270,17 +271,30 @@ int main(int argc, char** argv) {
   // ---- Sampler overhead on point Gets -------------------------------
   // Same engine shape, sampling off vs explicitly on, timed as
   // interleaved pairs so both sides of each ratio see the same machine
-  // state.
+  // state. Every pair builds both engines afresh, alternating which is
+  // built first: one pair of engines timed in every pair carries one
+  // build's layout (allocations, file placement) into all of them, and
+  // then the median moves between runs by far more than its quartiles.
   bench::PairedRatio sampler;
   {
-    auto db_off = MakeDb(base_dir + "/sampler-off",
-                         NewBloomRFPolicy(16.0, 1 << 20), data);
-    auto db_on = MakeDb(base_dir + "/sampler-on",
-                        NewBloomRFPolicy(16.0, 1 << 20), data,
-                        /*sample=*/true);
+    std::unique_ptr<Db> db_off, db_on;
+    auto build_pair = [&](int pair) {
+      db_off.reset();
+      db_on.reset();
+      for (int side = 0; side < 2; ++side) {
+        if ((side + pair) % 2 == 0) {
+          db_off = MakeDb(base_dir + "/sampler-off",
+                          NewBloomRFPolicy(16.0, 1 << 20), data);
+        } else {
+          db_on = MakeDb(base_dir + "/sampler-on",
+                         NewBloomRFPolicy(16.0, 1 << 20), data,
+                         /*sample=*/true);
+        }
+      }
+    };
     sampler = bench::TimePairs(
         kSamplerPairs, [&] { return RunPhaseOnce(db_off.get(), phases[0]); },
-        [&] { return RunPhaseOnce(db_on.get(), phases[0]); });
+        [&] { return RunPhaseOnce(db_on.get(), phases[0]); }, build_pair);
   }
   std::printf("sampler overhead: Get off %7.3f Mops  on %7.3f Mops  "
               "(median ratio %.3f of %d pairs, quartiles %.3f-%.3f)\n",

@@ -145,16 +145,19 @@ inline Quartiles QuartilesOf(std::vector<double> v) {
 /// A throughput ratio b/a measured as `pairs` interleaved (a, b) pairs,
 /// alternating which side runs first, so drift during the run lands on
 /// both sides of each pair alike: the median and quartiles of the
-/// per-pair ratios, and each side's median Mops.
+/// per-pair ratios, and each side's median Mops. `setup(p)`, when
+/// given, runs untimed before pair p (e.g. to build fresh engines).
 struct PairedRatio {
   Quartiles ratio;
   double a_mops = 0;
   double b_mops = 0;
 };
-template <typename TimeA, typename TimeB>
-PairedRatio TimePairs(int pairs, TimeA time_a, TimeB time_b) {
+template <typename TimeA, typename TimeB, typename Setup = void (*)(int)>
+PairedRatio TimePairs(int pairs, TimeA time_a, TimeB time_b,
+                      Setup setup = [](int) {}) {
   std::vector<double> a, b, ratios;
   for (int p = 0; p < pairs; ++p) {
+    setup(p);
     double a_mops, b_mops;
     if (p % 2 == 0) {
       a_mops = time_a();

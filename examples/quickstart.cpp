@@ -66,12 +66,8 @@ int main() {
   std::printf("\n");
   std::vector<uint64_t> sorted_keys;
   for (uint64_t k = 0; k < 10'000; ++k) sorted_keys.push_back(k * 37);
-  FilterBuildParams build;
-  build.bits_per_key = 18.0;
-  build.max_range = 1e4;
-  auto rosetta = registry.Find("rosetta")->build_from_sorted_keys(
-      sorted_keys, build);
-  std::string framed = registry.Serialize(*rosetta);  // name | payload
+  std::string framed = registry.BuildFramed(  // name | payload
+      "rosetta", sorted_keys, {.bits_per_key = 18.0, .max_range = 1e4});
   auto reloaded = registry.Deserialize(framed);
   std::printf("registry round-trip: %s, %zu bytes, range [37, 40] -> %d "
               "(expect 1)\n",

@@ -109,11 +109,22 @@ BackendObservation* FilterFeedback::FindOrAdd(std::string_view backend) {
   return &backends.back();
 }
 
+FilterPlan FallbackPlan(const PlannerOptions& options, std::string reason) {
+  FilterPlan plan;  // bloomrf at FilterBuildParams' default max_range
+  plan.params.bits_per_key = options.bits_per_key;
+  plan.used_fallback = true;
+  plan.rationale = std::move(reason);
+  return plan;
+}
+
 FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
                       const PlannerOptions& options,
                       const FilterFeedback* feedback) {
-  FilterPlan plan;
-  plan.bits_per_key = options.bits_per_key;
+  if (snapshot.total_samples() < options.min_samples) {
+    return FallbackPlan(
+        options, "fallback: " + std::to_string(snapshot.total_samples()) +
+                     " samples < min " + std::to_string(options.min_samples));
+  }
 
   const uint64_t n = std::max<uint64_t>(table_keys, 2);
   const uint64_t m = std::max<uint64_t>(
@@ -121,33 +132,30 @@ FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
                                  static_cast<double>(n)));
   const double bpk = static_cast<double>(m) / static_cast<double>(n);
 
-  if (snapshot.total_samples() < options.min_samples) {
-    plan.backend = options.fallback_backend;
-    plan.max_range = options.fallback_max_range;
-    plan.used_fallback = true;
-    plan.rationale = "fallback: " + std::to_string(snapshot.total_samples()) +
-                     " samples < min " + std::to_string(options.min_samples);
-    return plan;
-  }
-
   const double p_point = snapshot.point_fraction();
   const double p_range = 1.0 - p_point;
-  const std::vector<double> weights = snapshot.RangeWeights();
-  const double max_range = snapshot.MaxRangeWidth();
+  // The raw widest sampled width (1 when no range was sampled) goes
+  // into the rationale; scoring and building use it clamped to 2.
+  const double max_width = snapshot.MaxRangeWidth();
+
+  FilterPlan plan;
+  plan.params.bits_per_key = options.bits_per_key;
+  plan.params.max_range = std::max(2.0, max_width);
+  plan.params.range_weights = snapshot.RangeWeights();
+  const std::vector<double>& weights = plan.params.range_weights;
 
   std::vector<Candidate> candidates;
 
-  // bloomRF: the tuning advisor over the measured width histogram.
-  AdvisorResult advised;
+  // bloomRF: the tuning advisor over the measured width histogram, fed
+  // exactly what the registry's bloomrf entry feeds it at build time.
   {
-    AdvisorParams params;
-    params.n = n;
-    params.total_bits = m;
-    params.max_range = max_range;
-    params.domain_bits = 64;
-    params.point_weight = options.point_weight;
-    params.range_weights = weights;
-    advised = AdviseConfig(params);
+    AdvisorParams advisor;
+    advisor.n = table_keys;
+    advisor.total_bits = static_cast<uint64_t>(
+        options.bits_per_key * static_cast<double>(table_keys));
+    advisor.max_range = plan.params.max_range;
+    advisor.range_weights = weights;
+    const AdvisorResult advised = AdviseConfig(advisor);
     Candidate c;
     c.backend = "bloomrf";
     c.point_fpr = advised.expected_point_fpr;
@@ -178,8 +186,7 @@ FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
   {
     Candidate c;
     c.backend = "rosetta";
-    const double levels =
-        std::ceil(std::log2(std::max(2.0, max_range))) + 1.0;
+    const double levels = std::ceil(std::log2(plan.params.max_range)) + 1.0;
     const double bottom_bpk = bpk - std::log2(std::exp(1.0)) * (levels - 1.0);
     if (bottom_bpk < 1.0) {
       c.viable = false;  // the ladder alone exhausts the budget
@@ -199,24 +206,22 @@ FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
   // + prefix (2n insertions into the same m bits), probes
   // ~width/2^p + 1 prefixes per range, answers "maybe" beyond its
   // probe cap.
-  uint32_t prefix_level = 16;
   {
     Candidate c;
     c.backend = "prefix_bloom";
-    if (!weights.empty()) {
-      double acc = 0;
-      for (size_t l = 0; l < weights.size(); ++l) {
-        acc += weights[l];
-        if (acc >= 0.5) {
-          prefix_level = static_cast<uint32_t>(l);
-          break;
-        }
+    double acc = 0;
+    for (size_t l = 0; l < weights.size(); ++l) {
+      acc += weights[l];
+      if (acc >= 0.5) {
+        plan.params.prefix_level = static_cast<uint32_t>(l);
+        break;
       }
     }
     const double k2 = OptimalK(bpk / 2.0);
     const double per_probe = BasicPointFpr(2 * n, m, static_cast<uint32_t>(k2));
     c.point_fpr = per_probe;
-    const double prefix_width = std::ldexp(1.0, static_cast<int>(prefix_level));
+    const double prefix_width =
+        std::ldexp(1.0, static_cast<int>(plan.params.prefix_level));
     c.range_fpr = WeightedOver(weights, [&](double w) {
       const double probes = w / prefix_width + 2.0;
       if (probes > kPrefixBloomProbeCap) return 1.0;  // cap: cannot exclude
@@ -241,21 +246,15 @@ FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
 
   const Candidate& chosen = candidates[best];
   plan.backend = chosen.backend;
-  plan.max_range = std::max(2.0, max_range);
-  plan.prefix_level = prefix_level;
   plan.predicted_point_fpr = chosen.point_fpr;
   plan.predicted_range_fpr = chosen.range_fpr;
   plan.predicted_cost = best_cost;
-  if (chosen.backend == "bloomrf") {
-    plan.has_bloomrf_config = true;
-    plan.bloomrf_config = advised.config;
-  }
   char line[160];
   std::snprintf(line, sizeof(line),
                 "%s: cost %.3g (point %.0f%% fpr %.3g, range %.0f%% fpr "
                 "%.3g, max width %.3g)",
                 chosen.backend.c_str(), best_cost, 100 * p_point,
-                chosen.point_fpr, 100 * p_range, chosen.range_fpr, max_range);
+                chosen.point_fpr, 100 * p_range, chosen.range_fpr, max_width);
   plan.rationale = line;
   return plan;
 }

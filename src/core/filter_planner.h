@@ -4,7 +4,8 @@
 // histogram), a per-table key count and a bits-per-key budget, scores
 // every candidate filter backend with the analytic models in
 // core/fpr_model.h + core/tuning_advisor.h, and emits the backend name
-// (a FilterRegistry key) plus its construction parameters. Proteus
+// (a FilterRegistry key) plus the FilterBuildParams the registry
+// builds it from. Proteus
 // (Knorr et al., SIGMOD '22) is the template: sample recent queries,
 // model the FPR of each candidate design, pick the cheapest.
 //
@@ -37,8 +38,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/config.h"
 #include "core/workload_sampler.h"
+#include "filters/registry.h"
 
 namespace bloomrf {
 
@@ -68,14 +69,13 @@ struct FilterFeedback {
   BackendObservation* FindOrAdd(std::string_view backend);
 };
 
+/// The planner's settings. Its constants: the fallback is bloomRF sized
+/// for FilterBuildParams' default max_range, and bloomRF is scored
+/// with AdvisorParams' default point weight (C = 2).
 struct PlannerOptions {
   double bits_per_key = 16.0;
   /// Below this many samples the snapshot is noise: build the fallback.
   uint64_t min_samples = 32;
-  /// Advisor C for the bloomrf candidate (point-error weight).
-  double point_weight = 2.0;
-  std::string fallback_backend = "bloomrf";
-  double fallback_max_range = 1 << 16;
   /// Feedback gates: ignore observations with fewer definite outcomes,
   /// and cap the distrust multiplier (measured/predicted FPR).
   uint64_t feedback_min_probes = 512;
@@ -83,27 +83,29 @@ struct PlannerOptions {
 };
 
 /// One planning decision: which backend the next SST should carry and
-/// how to build it. `backend` is a FilterRegistry name; when
-/// `has_bloomrf_config` is set the full advisor-tuned BloomRFConfig is
-/// attached (the registry's scalar bits_per_key/max_range path cannot
-/// express it).
+/// the FilterBuildParams it was scored with. `backend` is a
+/// FilterRegistry name, and FilterRegistry::BuildFramed(backend, keys,
+/// params) builds exactly what was scored: for bloomRF, `params`
+/// carries the sampled width histogram the advisor tuned for.
 struct FilterPlan {
   std::string backend = "bloomrf";
-  double bits_per_key = 16.0;
-  double max_range = 1 << 16;
-  uint32_t prefix_level = 16;
-  bool has_bloomrf_config = false;
-  BloomRFConfig bloomrf_config;
+  FilterBuildParams params;
   /// Model outputs for the chosen candidate (feedback-adjusted).
   double predicted_point_fpr = 1.0;
   double predicted_range_fpr = 1.0;
   double predicted_cost = 1.0;
-  bool used_fallback = false;  ///< too few samples: fallback built
+  bool used_fallback = false;  ///< the fallback was (or will be) built
   std::string rationale;       ///< one human-readable line
   /// Every scored candidate with its feedback-adjusted cost (ascending
   /// is NOT guaranteed; the chosen backend holds the minimum).
   std::vector<std::pair<std::string, double>> candidate_costs;
 };
+
+/// The plan built when there is nothing to plan from (no sampler, too
+/// few samples) or the planned backend fails to build: bloomRF at the
+/// options' bits_per_key and the default max_range, with `reason` as
+/// its rationale.
+FilterPlan FallbackPlan(const PlannerOptions& options, std::string reason);
 
 /// Scores every candidate for `table_keys` keys under the sampled
 /// workload and returns the cheapest. `feedback` may be null.

@@ -1,22 +1,6 @@
 #include "filters/bloomrf_filter.h"
 
-#include "core/tuning_advisor.h"
-
 namespace bloomrf {
-
-BloomRFFilter BloomRFFilter::Advised(uint64_t n, double bits_per_key,
-                                     double max_range, uint32_t domain_bits,
-                                     uint64_t seed) {
-  AdvisorParams params;
-  params.n = n;
-  params.total_bits =
-      static_cast<uint64_t>(bits_per_key * static_cast<double>(n));
-  params.max_range = max_range;
-  params.domain_bits = domain_bits;
-  BloomRFConfig config = AdviseConfig(params).config;
-  if (seed != 0) config.seed = seed;
-  return BloomRFFilter(BloomRF(std::move(config)));
-}
 
 std::optional<BloomRFFilter> BloomRFFilter::Deserialize(
     std::string_view data) {

@@ -19,13 +19,6 @@ class BloomRFFilter : public OnlineFilter {
  public:
   explicit BloomRFFilter(BloomRF filter) : impl_(std::move(filter)) {}
 
-  /// Advisor-tuned construction from the (n, space budget, max range)
-  /// triple — the configuration path the LSM policy and benches use.
-  /// `seed` == 0 keeps the advisor's default hash seed.
-  static BloomRFFilter Advised(uint64_t n, double bits_per_key,
-                               double max_range, uint32_t domain_bits = 64,
-                               uint64_t seed = 0);
-
   std::string Name() const override { return "bloomRF"; }
 
   void Insert(uint64_t key) override { impl_.Insert(key); }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/tuning_advisor.h"
 #include "filters/blocked_bloom_filter.h"
 #include "filters/bloom_filter.h"
 #include "filters/bloomrf_filter.h"
@@ -60,9 +61,17 @@ FilterRegistry::Entry BloomRFEntry() {
   entry.supports_ranges = true;
   entry.online = true;
   entry.build_online = [](const FilterBuildParams& p) {
-    return std::make_unique<BloomRFFilter>(BloomRFFilter::Advised(
-        p.expected_keys, p.bits_per_key, p.max_range, /*domain_bits=*/64,
-        p.seed));
+    // The tuning advisor (Sect. 7) on the sampled width histogram, or on
+    // max_range without one; PlanFilter scores bloomRF with these inputs.
+    AdvisorParams advisor;
+    advisor.n = p.expected_keys;
+    advisor.total_bits = static_cast<uint64_t>(
+        p.bits_per_key * static_cast<double>(p.expected_keys));
+    advisor.max_range = p.max_range;
+    advisor.range_weights = p.range_weights;
+    BloomRFConfig config = AdviseConfig(advisor).config;
+    if (p.seed != 0) config.seed = p.seed;
+    return std::make_unique<BloomRFFilter>(BloomRF(std::move(config)));
   };
   entry.build_from_sorted_keys = OfflineViaOnline(entry.build_online);
   entry.deserialize = DeserializeAs<BloomRFFilter>;

@@ -75,6 +75,17 @@ std::vector<std::string> FilterRegistry::Names() const {
   return names;  // std::map iteration is already sorted
 }
 
+std::string FilterRegistry::BuildFramed(
+    std::string_view name, const std::vector<uint64_t>& sorted_keys,
+    const FilterBuildParams& params) const {
+  const Entry* entry = Find(name);
+  if (entry == nullptr) return "";
+  std::unique_ptr<PointRangeFilter> filter =
+      entry->build_from_sorted_keys(sorted_keys, params);
+  if (filter == nullptr) return "";
+  return Frame(entry->name, filter->Serialize());
+}
+
 std::string FilterRegistry::Frame(std::string_view name,
                                   std::string_view payload) {
   std::string out;
@@ -95,12 +106,6 @@ bool FilterRegistry::ParseFrame(std::string_view framed,
   if (name->empty() || name->size() > kMaxNameLen) return false;
   *payload = framed.substr(pos);
   return true;
-}
-
-std::string FilterRegistry::Serialize(const PointRangeFilter& filter) const {
-  const Entry* entry = Find(filter.Name());
-  if (entry == nullptr) return "";
-  return Frame(entry->name, filter.Serialize());
 }
 
 std::unique_ptr<PointRangeFilter> FilterRegistry::Deserialize(

@@ -4,7 +4,7 @@
 //
 // Each backend registers three factories:
 //   - BuildFromSortedKeys: offline construction over an SST's sorted
-//     unique keys (every backend),
+//     unique keys (every backend; BuildFramed frames its output),
 //   - BuildOnline: incremental construction for streaming workloads
 //     (null for offline-only structures such as SuRF, fence pointers),
 //   - Deserialize: payload -> filter (the inverse of
@@ -34,7 +34,8 @@ namespace bloomrf {
 
 /// Union of the per-backend construction knobs. Backends read the
 /// fields they understand and ignore the rest; `expected_keys` is
-/// filled from the key count on BuildFromSortedKeys.
+/// filled from the key count on BuildFromSortedKeys. Callers use
+/// designated initializers, so new fields go last.
 struct FilterBuildParams {
   uint64_t expected_keys = 0;      ///< n, for sizing BuildOnline calls
                                    ///< (BuildFromSortedKeys sizes from
@@ -46,6 +47,9 @@ struct FilterBuildParams {
   uint32_t suffix_bits = 8;        ///< surf suffix length
   uint32_t fingerprint_bits = 12;  ///< cuckoo fingerprint width
   uint64_t seed = 0;               ///< 0 = backend default seed
+  /// bloomrf: share of query widths in [2^l, 2^{l+1}) per bucket l, as
+  /// the workload sampler measures it; empty = size for max_range.
+  std::vector<double> range_weights = {};
 };
 
 class FilterRegistry {
@@ -80,16 +84,20 @@ class FilterRegistry {
   /// Sorted registry keys of all backends.
   std::vector<std::string> Names() const;
 
+  /// Builds backend `name`'s filter over sorted unique keys and frames
+  /// it with its registry name: the one build every FilterPolicy's
+  /// filter blocks come from. "" for an unknown backend or a failed
+  /// build.
+  std::string BuildFramed(std::string_view name,
+                          const std::vector<uint64_t>& sorted_keys,
+                          const FilterBuildParams& params) const;
+
   /// Frames a payload as `magic | len(name) | name | payload`.
   static std::string Frame(std::string_view name, std::string_view payload);
 
   /// Splits a framed block; false on malformed framing.
   static bool ParseFrame(std::string_view framed, std::string_view* name,
                          std::string_view* payload);
-
-  /// Serializes `filter` with framing, resolving the registry name via
-  /// filter.Name(). Returns "" if the filter is not registered.
-  std::string Serialize(const PointRangeFilter& filter) const;
 
   /// Reconstructs a filter from a framed block; null on unknown name or
   /// corrupt payload.

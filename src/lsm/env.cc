@@ -1,6 +1,7 @@
 #include "lsm/env.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
@@ -95,6 +96,41 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 Env* Env::Default() {
   static PosixEnv* env = new PosixEnv();  // leaked: outlives every Db
   return env;
+}
+
+uint64_t ReadNumberRecord(const std::string& path, std::string_view prefix) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return 0;
+  char buf[64];
+  size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+  std::fclose(f);
+  std::string_view content(buf, n);
+  if (content.size() <= prefix.size() ||
+      content.compare(0, prefix.size(), prefix) != 0) {
+    return 0;
+  }
+  uint64_t number = 0;
+  bool any = false;
+  for (size_t i = prefix.size(); i < content.size(); ++i) {
+    char c = content[i];
+    if (c == '\n') break;
+    if (c < '0' || c > '9') return 0;
+    number = number * 10 + static_cast<uint64_t>(c - '0');
+    any = true;
+  }
+  return any ? number : 0;
+}
+
+bool WriteFileAtomically(Env* env, const std::string& dir,
+                         const std::string& path, std::string_view contents) {
+  const std::string tmp = path + ".tmp";
+  auto file = env->NewWritableFile(tmp);
+  bool ok = file != nullptr && file->Append(contents) && file->Sync() &&
+            file->Close();
+  ok = ok && env->RenameFile(tmp, path);
+  ok = ok && env->SyncDir(dir);
+  if (!ok) env->DeleteFile(tmp);  // best effort; stale tmp is harmless
+  return ok;
 }
 
 std::string FaultKindForPath(const std::string& path) {

@@ -68,6 +68,19 @@ class Env {
   static Env* Default();
 };
 
+/// Durably replaces `path` with `contents`: writes `path`.tmp, syncs
+/// and closes it, renames it over `path` and syncs `dir` (the parent
+/// directory), so a crash at any step leaves the old file or the new
+/// one, never a torn one. On failure the tmp file is deleted (best
+/// effort) and false is returned.
+bool WriteFileAtomically(Env* env, const std::string& dir,
+                         const std::string& path, std::string_view contents);
+
+/// Reads a record file of `prefix`, a decimal number and "\n", such as
+/// CURRENT's "MANIFEST-7\n" (read directly, not through an Env). 0 when
+/// the file is missing or malformed.
+uint64_t ReadNumberRecord(const std::string& path, std::string_view prefix);
+
 /// Classifies a path into the fault-site kind used by
 /// FaultInjectionEnv: "sst", "manifest", "current", "wal" or "file".
 /// (A trailing ".tmp" is ignored, so an SST staged as 7.sst.tmp still

@@ -1,74 +1,41 @@
-// The one concrete FilterPolicy: a thin generic adapter over the
-// FilterRegistry. Backend-specific wiring (construction, serialization
-// framing, probe objects) lives behind the registry; what used to be
-// seven hand-written policy/probe class pairs is now this file.
+// The static RegistryFilterPolicy and the AdaptiveFilterPolicy. Both
+// build every filter block through the one registry call,
+// FilterRegistry::BuildFramed; backend wiring lives behind the registry.
 
 #include "lsm/filter_policy.h"
 
 #include <utility>
 
-#include "core/bloomrf.h"
-#include "filters/bloomrf_filter.h"
-
 namespace bloomrf {
 
 namespace {
 
-/// The one registry build: `entry`'s filter over `sorted_keys`, framed
-/// with its registry name. "" for an unknown backend (null entry) or a
-/// failed build; sizing from the key count is the factory's job (see
-/// OfflineViaOnline in builtin_filters.cc).
-std::string BuildFramedFilter(const FilterRegistry::Entry* entry,
-                              const std::vector<uint64_t>& sorted_keys,
-                              const FilterBuildParams& params) {
-  if (entry == nullptr) return "";
-  std::unique_ptr<PointRangeFilter> filter =
-      entry->build_from_sorted_keys(sorted_keys, params);
-  if (filter == nullptr) return "";
-  return FilterRegistry::Frame(entry->name, filter->Serialize());
-}
-
 class RegistryFilterPolicy : public FilterPolicy {
  public:
-  // Entry pointers are stable (map nodes, never erased), so the
-  // backend is resolved once instead of per flush/probe.
   RegistryFilterPolicy(std::string_view name, FilterBuildParams params)
-      : name_(name),
-        entry_(FilterRegistry::Instance().Find(name)),
-        params_(params) {}
-
-  std::string Name() const override {
-    return entry_ != nullptr ? entry_->display_name : name_;
+      : name_(name), params_(std::move(params)) {
+    // Find resolves display names too, so the registry builds by it.
+    const FilterRegistry::Entry* entry = FilterRegistry::Instance().Find(name);
+    if (entry != nullptr) name_ = entry->display_name;
   }
+
+  std::string Name() const override { return name_; }
 
   std::string CreateFilter(
       const std::vector<uint64_t>& sorted_keys) const override {
-    return BuildFramedFilter(entry_, sorted_keys, params_);
-  }
-
-  std::unique_ptr<PointRangeFilter> LoadFilter(
-      std::string_view data) const override {
-    // Blocks are self-describing: the framed name, not this policy's
-    // configured backend, selects the deserializer.
-    return FilterRegistry::Instance().Deserialize(data);
+    return FilterRegistry::Instance().BuildFramed(name_, sorted_keys, params_);
   }
 
  private:
-  std::string name_;
-  const FilterRegistry::Entry* entry_;  // null for unknown backends
+  std::string name_;  // display name; as given for unknown backends
   FilterBuildParams params_;
 };
 
 }  // namespace
 
 AdaptiveFilterPolicy::AdaptiveFilterPolicy(PlannerOptions options)
-    : options_(std::move(options)) {
-  last_plan_.backend = options_.fallback_backend;
-  last_plan_.bits_per_key = options_.bits_per_key;
-  last_plan_.max_range = options_.fallback_max_range;
-  last_plan_.used_fallback = true;
-  last_plan_.rationale = "no build yet";
-}
+    : options_(std::move(options)),
+      last_plan_(FallbackPlan(options_, "no build yet")) {}
 
 std::string AdaptiveFilterPolicy::Name() const { return "adaptive"; }
 
@@ -80,41 +47,18 @@ std::string AdaptiveFilterPolicy::CreateFilter(
 std::string AdaptiveFilterPolicy::CreateFilter(
     const std::vector<uint64_t>& sorted_keys,
     const FilterBuildContext& context) const {
-  FilterPlan plan;
-  if (context.sampler == nullptr) {
-    plan.backend = options_.fallback_backend;
-    plan.bits_per_key = options_.bits_per_key;
-    plan.max_range = options_.fallback_max_range;
-    plan.used_fallback = true;
-    plan.rationale = "fallback: no workload sampler wired";
-  } else {
-    plan = PlanFilter(context.sampler->Snapshot(), sorted_keys.size(),
-                      options_, context.feedback);
-  }
-
-  std::string block;
-  if (plan.has_bloomrf_config) {
-    // The advisor-tuned configuration cannot be expressed through the
-    // registry's scalar FilterBuildParams; build the core type directly.
-    BloomRF filter(plan.bloomrf_config);
-    for (uint64_t key : sorted_keys) filter.Insert(key);
-    block = FilterRegistry::Frame("bloomrf", filter.Serialize());
-  } else {
-    const FilterRegistry& registry = FilterRegistry::Instance();
-    FilterBuildParams params;
-    params.bits_per_key = plan.bits_per_key;
-    params.max_range = plan.max_range;
-    params.prefix_level = plan.prefix_level;
-    block = BuildFramedFilter(registry.Find(plan.backend), sorted_keys, params);
-    if (block.empty() && plan.backend != options_.fallback_backend) {
-      FilterBuildParams fallback;
-      fallback.bits_per_key = options_.bits_per_key;
-      fallback.max_range = options_.fallback_max_range;
-      block = BuildFramedFilter(registry.Find(options_.fallback_backend),
-                                sorted_keys, fallback);
-      plan.used_fallback = true;
-      plan.rationale += " (backend build failed; fallback built)";
-    }
+  FilterPlan plan =
+      context.sampler == nullptr
+          ? FallbackPlan(options_, "fallback: no workload sampler wired")
+          : PlanFilter(context.sampler->Snapshot(), sorted_keys.size(),
+                       options_, context.feedback);
+  const FilterRegistry& registry = FilterRegistry::Instance();
+  std::string block = registry.BuildFramed(plan.backend, sorted_keys,
+                                           plan.params);
+  if (block.empty() && !plan.used_fallback) {
+    plan = FallbackPlan(
+        options_, plan.rationale + " (backend build failed; fallback built)");
+    block = registry.BuildFramed(plan.backend, sorted_keys, plan.params);
   }
 
   {
@@ -127,11 +71,6 @@ std::string AdaptiveFilterPolicy::CreateFilter(
     }
   }
   return block;
-}
-
-std::unique_ptr<PointRangeFilter> AdaptiveFilterPolicy::LoadFilter(
-    std::string_view data) const {
-  return FilterRegistry::Instance().Deserialize(data);
 }
 
 FilterPlan AdaptiveFilterPolicy::LastPlan() const {

@@ -7,12 +7,13 @@
 // (CreateFilter) and reconstitutes a probe object from the stored
 // filter block at open time (LoadFilter). There are two policies: the
 // static one (NewRegistryPolicy) builds one backend named in the
-// FilterRegistry, and AdaptiveFilterPolicy picks the backend per table
-// through PlanFilter, configured by the planner's own PlannerOptions.
-// Both build through one registry helper, and the probe side IS the
-// unified PointRangeFilter interface; filter blocks are
-// registry-framed (`name | payload`), so any policy instance can load
-// any backend's block.
+// FilterRegistry from fixed FilterBuildParams, and AdaptiveFilterPolicy
+// picks the backend and its FilterBuildParams per table through
+// PlanFilter, configured by the planner's own PlannerOptions. Both
+// build through the one registry call, FilterRegistry::BuildFramed,
+// and the probe side IS the unified PointRangeFilter interface; filter
+// blocks are registry-framed (`name | payload`), so any policy
+// instance can load any backend's block.
 
 #ifndef BLOOMRF_LSM_FILTER_POLICY_H_
 #define BLOOMRF_LSM_FILTER_POLICY_H_
@@ -65,20 +66,25 @@ class FilterPolicy {
   virtual bool WantsQueryFeedback() const { return false; }
 
   /// Reconstructs the probe object from a filter block. Returns null
-  /// on corruption (the table then probes nothing and scans).
+  /// on corruption (the table then probes nothing and scans). Blocks
+  /// are self-describing: the framed name, not the policy's own
+  /// backend, selects the deserializer, so no policy needs to override
+  /// this except to observe loads.
   virtual std::unique_ptr<PointRangeFilter> LoadFilter(
-      std::string_view data) const = 0;
+      std::string_view data) const {
+    return FilterRegistry::Instance().Deserialize(data);
+  }
 };
 
 /// The tentpole policy: re-plans the filter backend for every SST it
 /// builds (flush and compaction outputs alike) from the live workload
 /// snapshot plus measured false-positive feedback, through PlanFilter
-/// with the given PlannerOptions. The fallback backend is built
-/// verbatim when no sampler is wired, while the sampler holds fewer
-/// than `min_samples` observations, and when the planned backend fails
-/// to build. Tables built under different plans coexist in one tree —
-/// blocks are registry-framed, so LoadFilter dispatches on the stored
-/// name.
+/// with the given PlannerOptions, and builds the plan's backend from
+/// the plan's FilterBuildParams. FallbackPlan is built when no sampler
+/// is wired, while the sampler holds fewer than `min_samples`
+/// observations, and when the planned backend fails to build. Tables
+/// built under different plans coexist in one tree — blocks are
+/// registry-framed, so LoadFilter dispatches on the stored name.
 class AdaptiveFilterPolicy : public FilterPolicy {
  public:
   explicit AdaptiveFilterPolicy(PlannerOptions options = {});
@@ -89,8 +95,6 @@ class AdaptiveFilterPolicy : public FilterPolicy {
   std::string CreateFilter(const std::vector<uint64_t>& sorted_keys,
                            const FilterBuildContext& context) const override;
   bool WantsQueryFeedback() const override { return true; }
-  std::unique_ptr<PointRangeFilter> LoadFilter(
-      std::string_view data) const override;
 
   /// The decision behind the most recent build (introspection/tests).
   FilterPlan LastPlan() const;

@@ -1,7 +1,6 @@
 #include "lsm/manifest.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "lsm/wal.h"
 #include "util/coding.h"
@@ -160,40 +159,12 @@ void ManifestReplay(const std::string& path, ManifestState* state) {
 }
 
 uint64_t ReadCurrentManifestNumber(const std::string& dir) {
-  std::FILE* f = std::fopen(CurrentFileName(dir).c_str(), "rb");
-  if (f == nullptr) return 0;
-  char buf[64];
-  size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  std::string_view content(buf, n);
-  constexpr std::string_view kPrefix = "MANIFEST-";
-  if (content.size() <= kPrefix.size() ||
-      content.compare(0, kPrefix.size(), kPrefix) != 0) {
-    return 0;
-  }
-  uint64_t number = 0;
-  bool any = false;
-  for (size_t i = kPrefix.size(); i < content.size(); ++i) {
-    char c = content[i];
-    if (c == '\n') break;
-    if (c < '0' || c > '9') return 0;
-    number = number * 10 + static_cast<uint64_t>(c - '0');
-    any = true;
-  }
-  return any ? number : 0;
+  return ReadNumberRecord(CurrentFileName(dir), "MANIFEST-");
 }
 
 bool SetCurrentFile(Env* env, const std::string& dir, uint64_t number) {
-  const std::string tmp = CurrentFileName(dir) + ".tmp";
-  auto file = env->NewWritableFile(tmp);
-  bool ok = file != nullptr &&
-            file->Append("MANIFEST-" + std::to_string(number) + "\n") &&
-            file->Sync() && file->Close();
-  ok = ok && env->RenameFile(tmp, CurrentFileName(dir));
-  ok = ok && env->SyncDir(dir);
-  if (!ok) env->DeleteFile(tmp);  // best effort; stale tmp is harmless
-  return ok;
+  return WriteFileAtomically(env, dir, CurrentFileName(dir),
+                             "MANIFEST-" + std::to_string(number) + "\n");
 }
 
 ManifestWriter::ManifestWriter(Env* env, const std::string& dir,

@@ -1,11 +1,29 @@
 #include "lsm/sharded_db.h"
 
 #include <algorithm>
+#include <filesystem>
 
 namespace bloomrf {
 
 ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
   if (options_.num_shards == 0) options_.num_shards = 1;
+  // <dir>/SHARDS records the routing, "mix64 <count>": a key lives on
+  // shard Mix64(key) % count, so the recorded count wins. A store
+  // without a readable record (new, or older than the record) records
+  // the requested count before any shard opens. No store runs more than
+  // a few thousand shards (one pool thread each): a larger count is
+  // not trusted.
+  const std::string record = options_.dir + "/SHARDS";
+  const uint64_t recorded = ReadNumberRecord(record, "mix64 ");
+  if (recorded > 0 && recorded <= 4096) {
+    options_.num_shards = recorded;
+  } else {
+    std::error_code ec;
+    std::filesystem::create_directories(options_.dir, ec);
+    WriteFileAtomically(
+        options_.env != nullptr ? options_.env : Env::Default(), options_.dir,
+        record, "mix64 " + std::to_string(options_.num_shards) + "\n");
+  }
   if (options_.block_cache == nullptr && options_.block_cache_bytes > 0) {
     options_.block_cache =
         std::make_shared<BlockCache>(options_.block_cache_bytes);

@@ -11,6 +11,12 @@
 // parallel; Flush and CompactRange fan out over every shard the same
 // way. Point Put/Delete/Get route directly with no pool hop.
 //
+// The routing is recorded in the store: the first open writes
+// <dir>/SHARDS ("mix64 <count>") before any shard opens, and every
+// later open routes with the recorded count, whatever num_shards asks
+// for. Another count would send a key to a shard that never held it:
+// Gets would miss, and Deletes would leave the old value to resurface.
+//
 // Because sharding is by hash, a key range spans all shards: ScanRange
 // sends the whole batch to every shard and merges the per-shard rows
 // (disjoint keys, so the merge is a sort) up to the limit.
@@ -45,6 +51,8 @@ namespace bloomrf {
 /// and with sampling on its own WorkloadSampler, so shard-local
 /// flushes and compactions tune from shard-local traffic.
 struct ShardedDbOptions : DbOptions {
+  /// Sizes a new store only; a store that has recorded its count opens
+  /// with that count (see num_shards()).
   size_t num_shards = 8;
 };
 
@@ -114,6 +122,7 @@ class ShardedDb {
   /// "re-tune the whole tree now" lever.
   bool CompactAll() { return CompactRange(0, UINT64_MAX); }
 
+  /// The recorded shard count the store routes with.
   size_t num_shards() const { return shards_.size(); }
   Db& shard(size_t i) { return *shards_[i]; }
   const Db& shard(size_t i) const { return *shards_[i]; }

@@ -42,6 +42,9 @@ TEST(FilterPlannerTest, PurePointWorkloadPicksBlockedBloom) {
   EXPECT_FALSE(plan.used_fallback);
   EXPECT_LT(plan.predicted_point_fpr, 0.01);
   EXPECT_EQ(plan.candidate_costs.size(), 5u);  // every backend scored
+  // No range sampled: the widest width reads 1, scored and built as 2.
+  EXPECT_DOUBLE_EQ(plan.params.max_range, 2.0);
+  EXPECT_TRUE(plan.params.range_weights.empty());
 }
 
 TEST(FilterPlannerTest, PureWideRangeWorkloadPicksRangeCapableBackend) {
@@ -73,8 +76,15 @@ TEST(FilterPlannerTest, BimodalWorkloadPicksBloomRF) {
   PlannerOptions options;
   FilterPlan plan = PlanFilter(snap, 100'000, options);
   EXPECT_EQ(plan.backend, "bloomrf");
-  EXPECT_TRUE(plan.has_bloomrf_config);
-  EXPECT_TRUE(plan.bloomrf_config.Validate().empty());
+  // The plan carries the histogram it scored, and the advisor turns
+  // those params into a valid configuration.
+  EXPECT_EQ(plan.params.range_weights, snap.RangeWeights());
+  AdvisorParams advisor;
+  advisor.n = 100'000;
+  advisor.total_bits = static_cast<uint64_t>(plan.params.bits_per_key * 1e5);
+  advisor.max_range = plan.params.max_range;
+  advisor.range_weights = plan.params.range_weights;
+  EXPECT_TRUE(AdviseConfig(advisor).config.Validate().empty());
   EXPECT_LT(plan.predicted_point_fpr, 0.05);
   EXPECT_LT(plan.predicted_range_fpr, 0.5);
 }
@@ -109,11 +119,15 @@ TEST(FilterPlannerTest, SingleBucketHistogramMatchesScalarMaxRange) {
 TEST(FilterPlannerTest, TooFewSamplesFallsBack) {
   PlannerOptions options;
   options.min_samples = 32;
-  options.fallback_backend = "bloomrf";
+  options.bits_per_key = 12.0;
   FilterPlan plan = PlanFilter(PointSnapshot(5), 100'000, options);
   EXPECT_TRUE(plan.used_fallback);
   EXPECT_EQ(plan.backend, "bloomrf");
-  EXPECT_DOUBLE_EQ(plan.max_range, options.fallback_max_range);
+  // The fallback sizes bloomRF for the default max range, at the
+  // options' budget, with no histogram.
+  EXPECT_DOUBLE_EQ(plan.params.max_range, FilterBuildParams{}.max_range);
+  EXPECT_DOUBLE_EQ(plan.params.bits_per_key, 12.0);
+  EXPECT_TRUE(plan.params.range_weights.empty());
   EXPECT_TRUE(plan.candidate_costs.empty());
 }
 

@@ -11,6 +11,8 @@
 #include <set>
 #include <vector>
 
+#include "core/bloomrf.h"
+#include "core/tuning_advisor.h"
 #include "tests/test_util.h"
 
 namespace bloomrf {
@@ -78,6 +80,7 @@ TEST(FilterRegistryTest, FindResolvesKeyAndDisplayName) {
   EXPECT_EQ(by_key->display_name, "bloomRF");
   EXPECT_EQ(registry.Find("bloomRF"), by_key);
   EXPECT_EQ(registry.Find("no_such_filter"), nullptr);
+  EXPECT_EQ(registry.BuildFramed("no_such_filter", {1, 2}, TestParams()), "");
   // The macro-registered external backend resolves like a built-in.
   ASSERT_NE(registry.Find("always_true"), nullptr);
   EXPECT_EQ(registry.Find("always_true")->display_name, "AlwaysTrue");
@@ -94,8 +97,8 @@ TEST(FilterRegistryTest, RoundTripIdenticalAnswersEveryBackend) {
     ASSERT_NE(built, nullptr);
     EXPECT_EQ(built->Name(), entry->display_name);
 
-    std::string framed = registry.Serialize(*built);
-    ASSERT_FALSE(framed.empty());
+    std::string framed = registry.BuildFramed(name, keys, TestParams());
+    EXPECT_EQ(framed, FilterRegistry::Frame(entry->name, built->Serialize()));
     auto restored = registry.Deserialize(framed);
     ASSERT_NE(restored, nullptr);
     EXPECT_EQ(restored->Name(), entry->display_name);
@@ -164,17 +167,43 @@ TEST(FilterRegistryTest, OnlineBuildHasNoFalseNegatives) {
   }
 }
 
+TEST(FilterRegistryTest, BloomRFEntryBuildsTheAdvisedConfig) {
+  // The entry hands the params, histogram included, to the tuning
+  // advisor: its block is the advised BloomRF's, whatever the widths.
+  auto keys = SortedKeys(3000, 308);
+  std::vector<std::vector<double>> histograms = {
+      {},                                  // scalar max_range
+      {0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5},  // bimodal 4 / 64
+      std::vector<double>(41, 1.0 / 41),   // every width up to 2^40
+  };
+  histograms.emplace_back(21, 0.0);
+  histograms.back()[20] = 1.0;  // all mass at 2^20
+  for (const std::vector<double>& weights : histograms) {
+    SCOPED_TRACE(weights.size());
+    FilterBuildParams params = TestParams();
+    params.range_weights = weights;
+    AdvisorParams advisor;
+    advisor.n = keys.size();
+    advisor.total_bits =
+        static_cast<uint64_t>(params.bits_per_key * keys.size());
+    advisor.max_range = params.max_range;
+    advisor.range_weights = weights;
+    BloomRF expected(AdviseConfig(advisor).config);
+    for (uint64_t k : keys) expected.Insert(k);
+    EXPECT_EQ(FilterRegistry::Instance().BuildFramed("bloomrf", keys, params),
+              FilterRegistry::Frame("bloomrf", expected.Serialize()));
+  }
+}
+
 TEST(FilterRegistryTest, FramingRejectsCorruptBlocks) {
   auto& registry = FilterRegistry::Instance();
   auto keys = SortedKeys(500, 306);
-  auto built =
-      registry.Find("bloomrf")->build_from_sorted_keys(keys, TestParams());
-  std::string framed = registry.Serialize(*built);
+  std::string framed = registry.BuildFramed("bloomrf", keys, TestParams());
+  ASSERT_NE(registry.Deserialize(framed), nullptr);
 
   EXPECT_EQ(registry.Deserialize(""), nullptr);
   EXPECT_EQ(registry.Deserialize("garbage"), nullptr);
-  for (size_t cut : {size_t{1}, size_t{4}, size_t{7}, framed.size() / 2,
-                     framed.size() - 1}) {
+  for (size_t cut = 0; cut < framed.size(); ++cut) {
     EXPECT_EQ(registry.Deserialize(framed.substr(0, cut)), nullptr) << cut;
   }
   // A frame naming an unregistered backend is rejected even with a

@@ -35,21 +35,9 @@ class RotatingPolicy : public FilterPolicy {
   std::string CreateFilter(
       const std::vector<uint64_t>& sorted_keys) const override {
     size_t turn = turn_.fetch_add(1, std::memory_order_relaxed);
-    const std::string& name =
-        names_[std::min(turn, names_.size() - 1)];
-    const FilterRegistry::Entry* entry = FilterRegistry::Instance().Find(name);
-    if (entry == nullptr) return "";
-    FilterBuildParams params;
-    params.bits_per_key = 14.0;
-    params.max_range = 1 << 16;
-    auto filter = entry->build_from_sorted_keys(sorted_keys, params);
-    if (filter == nullptr) return "";
-    return FilterRegistry::Frame(entry->name, filter->Serialize());
-  }
-
-  std::unique_ptr<PointRangeFilter> LoadFilter(
-      std::string_view data) const override {
-    return FilterRegistry::Instance().Deserialize(data);
+    return FilterRegistry::Instance().BuildFramed(
+        names_[std::min(turn, names_.size() - 1)], sorted_keys,
+        {.bits_per_key = 14.0, .max_range = 1 << 16});
   }
 
  private:
@@ -276,15 +264,17 @@ TEST_F(AdaptiveFilterTest, AdaptivePolicySwitchesBackendOnWorkloadShift) {
 }
 
 TEST_F(AdaptiveFilterTest, AdaptivePolicyWithoutSamplerFallsBack) {
-  PlannerOptions opts;
-  opts.fallback_backend = "bloomrf";
-  auto policy = NewAdaptiveFilterPolicy(opts);
+  auto policy = NewAdaptiveFilterPolicy({.bits_per_key = 16.0});
   std::vector<uint64_t> keys;
   for (uint64_t k = 0; k < 500; ++k) keys.push_back(k * 11);
   std::string block = policy->CreateFilter(keys);  // no context at all
   ASSERT_FALSE(block.empty());
   EXPECT_EQ(policy->fallback_builds(), 1u);
   EXPECT_TRUE(policy->LastPlan().used_fallback);
+  // The fallback is the static bloomRF policy's filter, byte for byte:
+  // both come from the one registry build.
+  EXPECT_EQ(block, NewRegistryPolicy("bloomrf", {.bits_per_key = 16.0})
+                       ->CreateFilter(keys));
   auto filter = policy->LoadFilter(block);
   ASSERT_NE(filter, nullptr);
   for (uint64_t k = 0; k < 500; ++k) {

@@ -41,18 +41,8 @@ class CyclingPolicy : public FilterPolicy {
     static const std::vector<std::string> kCycle = {
         "bloomrf", "blocked_bloom", "rosetta", "prefix_bloom"};
     size_t turn = turn_.fetch_add(1, std::memory_order_relaxed);
-    const FilterRegistry::Entry* entry =
-        FilterRegistry::Instance().Find(kCycle[turn % kCycle.size()]);
-    FilterBuildParams params;
-    params.bits_per_key = 12.0;
-    auto filter = entry->build_from_sorted_keys(sorted_keys, params);
-    if (filter == nullptr) return "";
-    return FilterRegistry::Frame(entry->name, filter->Serialize());
-  }
-
-  std::unique_ptr<PointRangeFilter> LoadFilter(
-      std::string_view data) const override {
-    return FilterRegistry::Instance().Deserialize(data);
+    return FilterRegistry::Instance().BuildFramed(
+        kCycle[turn % kCycle.size()], sorted_keys, {.bits_per_key = 12.0});
   }
 
  private:

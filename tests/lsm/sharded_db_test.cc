@@ -4,6 +4,7 @@
 
 #include <deque>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -300,6 +301,54 @@ TEST_F(ShardedDbTest, EveryShardRunsTheSharedDbOptions) {
     ASSERT_TRUE(db.Get(k, &value)) << k;
     EXPECT_EQ(value, MakeValue(k, 24));
   }
+}
+
+TEST_F(ShardedDbTest, ReopenRoutesWithTheRecordedShardCount) {
+  // Keys route by Mix64(key) % count: reopened under another count,
+  // most keys would be looked up, and deleted, on shards that never
+  // held them. Every open after the first uses the recorded count.
+  Dataset data = MakeDataset(10'000, Distribution::kUniform, 87);
+  const size_t n = data.sorted_keys.size();
+  auto count_hits = [&](ShardedDb& db) {
+    std::string value;
+    size_t hits = 0;
+    for (uint64_t k : data.sorted_keys) hits += db.Get(k, &value) ? 1 : 0;
+    return hits;
+  };
+  {
+    ShardedDb db = MakeDb(NewBloomPolicy(10.0), 8);
+    for (uint64_t k : data.sorted_keys) ASSERT_TRUE(db.Put(k, "v"));
+  }
+  for (size_t requested : {4, 16}) {
+    SCOPED_TRACE(requested);
+    ShardedDb db = MakeDb(NewBloomPolicy(10.0), requested);
+    EXPECT_EQ(db.num_shards(), 8u);
+    EXPECT_EQ(count_hits(db), n);
+    EXPECT_EQ(db.RangeScan(0, UINT64_MAX, 2 * n).size(), n);
+  }
+  {
+    ShardedDb db = MakeDb(NewBloomPolicy(10.0), 16);
+    for (uint64_t k : data.sorted_keys) ASSERT_TRUE(db.Delete(k));
+  }
+  ShardedDb db = MakeDb(NewBloomPolicy(10.0), 8);
+  EXPECT_EQ(count_hits(db), 0u);
+  EXPECT_TRUE(db.RangeScan(0, UINT64_MAX, 2 * n).empty());
+}
+
+TEST_F(ShardedDbTest, StoreWithoutReadableRecordRecordsRequestedCount) {
+  // A store written before the record existed, or whose record cannot
+  // be read, opens with the requested count and records it.
+  const std::string record = dir_ + "/SHARDS";
+  { ShardedDb db = MakeDb(NewBloomPolicy(10.0), 3); }
+  for (const char* stale : {"", "mix64 0\n", "mix64 5 junk\n", "hash 4\n"}) {
+    SCOPED_TRACE(stale);
+    std::ofstream(record, std::ios::trunc) << stale;
+    EXPECT_EQ(MakeDb(NewBloomPolicy(10.0), 5).num_shards(), 5u);
+    EXPECT_EQ(MakeDb(NewBloomPolicy(10.0), 2).num_shards(), 5u);
+  }
+  std::filesystem::remove(record);
+  EXPECT_EQ(MakeDb(NewBloomPolicy(10.0), 3).num_shards(), 3u);
+  EXPECT_EQ(MakeDb(NewBloomPolicy(10.0), 6).num_shards(), 3u);
 }
 
 TEST_F(ShardedDbTest, SingleShardBehavesLikeDb) {
