@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
            scale,
            {"bloomrf", "bloom", "blocked_bloom", "prefix_bloom", "cuckoo"})) {
     const FilterRegistry::Entry* entry = FilterRegistry::Instance().Find(name);
-    if (entry == nullptr || !entry->online) continue;
+    if (entry == nullptr || entry->build_online == nullptr) continue;
     point_results.push_back(
         BenchPointBackend(name, keys, queries, bits_per_key));
   }

@@ -44,7 +44,7 @@ inline void PrintRegisteredFilters() {
     std::printf("  %-16s %-14s ranges=%s online=%s\n", name.c_str(),
                 entry->display_name.c_str(),
                 entry->supports_ranges ? "yes" : "no",
-                entry->online ? "yes" : "no");
+                entry->build_online != nullptr ? "yes" : "no");
   }
 }
 

@@ -86,7 +86,9 @@ int main(int argc, char** argv) {
           if (filter == nullptr) continue;
           double actual_bpk = static_cast<double>(filter->MemoryBits()) /
                               static_cast<double>(n);
-          if (!entry->online && actual_bpk > bpk + 2.0) continue;
+          if (entry->build_online == nullptr && actual_bpk > bpk + 2.0) {
+            continue;
+          }
           uint64_t fp = 0, empties = 0;
           for (const RangeQuery& q : workload.range_queries) {
             if (!q.empty) continue;

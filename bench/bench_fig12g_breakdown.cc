@@ -77,9 +77,9 @@ class TimedPolicy : public FilterPolicy {
       : inner_(std::move(inner)) {}
 
   std::string Name() const override { return inner_->Name(); }
-  std::string CreateFilter(
-      const std::vector<uint64_t>& sorted_keys) const override {
-    return inner_->CreateFilter(sorted_keys);
+  std::string CreateFilter(const std::vector<uint64_t>& sorted_keys,
+                           const FilterBuildContext& context) const override {
+    return inner_->CreateFilter(sorted_keys, context);
   }
   std::unique_ptr<PointRangeFilter> LoadFilter(
       std::string_view data) const override {

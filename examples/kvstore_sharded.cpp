@@ -247,11 +247,7 @@ int main(int argc, char** argv) {
   for (size_t s = 0; s < db.num_shards(); ++s) {
     for (const BackendObservation& b :
          db.shard(s).CollectFilterFeedback().backends) {
-      BackendObservation* sum = outcomes.FindOrAdd(b.backend);
-      sum->point_false += b.point_false;
-      sum->point_negatives += b.point_negatives;
-      sum->range_false += b.range_false;
-      sum->range_negatives += b.range_negatives;
+      outcomes.Add(b);
     }
   }
   auto fpr = [](uint64_t fp, uint64_t tn) {

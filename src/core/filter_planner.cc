@@ -100,13 +100,18 @@ const BackendObservation* FilterFeedback::Find(std::string_view backend) const {
   return nullptr;
 }
 
-BackendObservation* FilterFeedback::FindOrAdd(std::string_view backend) {
-  for (BackendObservation& obs : backends) {
-    if (obs.backend == backend) return &obs;
+void FilterFeedback::Add(const BackendObservation& obs) {
+  for (BackendObservation& sum : backends) {
+    if (sum.backend != obs.backend) continue;
+    sum.point_allowed += obs.point_allowed;
+    sum.point_false += obs.point_false;
+    sum.point_negatives += obs.point_negatives;
+    sum.range_allowed += obs.range_allowed;
+    sum.range_false += obs.range_false;
+    sum.range_negatives += obs.range_negatives;
+    return;
   }
-  backends.emplace_back();
-  backends.back().backend = std::string(backend);
-  return &backends.back();
+  backends.push_back(obs);
 }
 
 FilterPlan FallbackPlan(const PlannerOptions& options, std::string reason) {

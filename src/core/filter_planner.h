@@ -66,7 +66,8 @@ struct FilterFeedback {
   std::vector<BackendObservation> backends;
 
   const BackendObservation* Find(std::string_view backend) const;
-  BackendObservation* FindOrAdd(std::string_view backend);
+  /// Adds `obs`'s counts to its backend's entry (appended if absent).
+  void Add(const BackendObservation& obs);
 };
 
 /// The planner's settings. Its constants: the fallback is bloomRF sized

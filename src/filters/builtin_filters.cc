@@ -1,9 +1,7 @@
-// Registry entries for every built-in point/range filter backend.
-// Adding backend N+1 is a change to this file (in-tree backends list
-// themselves in RegisterBuiltinFilters below; external code can use
-// BLOOMRF_REGISTER_FILTER from any linked-in translation unit) —
-// nothing else in the LSM, bench or example layers needs to know
-// about it.
+// Registry entries for every built-in point/range filter backend, and
+// the table FilterRegistry::Instance() serves. Adding backend N+1 is
+// one entry in this file; nothing else in the LSM, bench or example
+// layers needs to know about it.
 
 #include <algorithm>
 #include <cstdint>
@@ -59,7 +57,6 @@ FilterRegistry::Entry BloomRFEntry() {
   entry.name = "bloomrf";
   entry.display_name = "bloomRF";
   entry.supports_ranges = true;
-  entry.online = true;
   entry.build_online = [](const FilterBuildParams& p) {
     // The tuning advisor (Sect. 7) on the sampled width histogram, or on
     // max_range without one; PlanFilter scores bloomRF with these inputs.
@@ -85,7 +82,6 @@ FilterRegistry::Entry BloomEntry() {
   entry.name = "bloom";
   entry.display_name = "Bloom";
   entry.supports_ranges = false;
-  entry.online = true;
   entry.build_online = [](const FilterBuildParams& p) {
     return p.seed != 0 ? std::make_unique<BloomFilter>(p.expected_keys,
                                                        p.bits_per_key, 0,
@@ -105,7 +101,6 @@ FilterRegistry::Entry BlockedBloomEntry() {
   entry.name = "blocked_bloom";
   entry.display_name = "BlockedBloom";
   entry.supports_ranges = false;
-  entry.online = true;
   entry.build_online = [](const FilterBuildParams& p) {
     return p.seed != 0 ? std::make_unique<BlockedBloomFilter>(
                              p.expected_keys, p.bits_per_key, 0, p.seed)
@@ -124,7 +119,6 @@ FilterRegistry::Entry PrefixBloomEntry() {
   entry.name = "prefix_bloom";
   entry.display_name = "PrefixBloom";
   entry.supports_ranges = true;
-  entry.online = true;
   entry.build_online = [](const FilterBuildParams& p) {
     return p.seed != 0
                ? std::make_unique<PrefixBloomFilter>(
@@ -144,7 +138,6 @@ FilterRegistry::Entry CuckooEntry() {
   entry.name = "cuckoo";
   entry.display_name = "Cuckoo";
   entry.supports_ranges = false;
-  entry.online = true;
   entry.build_online = [](const FilterBuildParams& p) {
     return p.seed != 0 ? std::make_unique<CuckooFilter>(p.expected_keys,
                                                         p.fingerprint_bits,
@@ -164,7 +157,6 @@ FilterRegistry::Entry RosettaEntry() {
   entry.name = "rosetta";
   entry.display_name = "Rosetta";
   entry.supports_ranges = true;
-  entry.online = true;
   entry.build_online = [](const FilterBuildParams& p) {
     Rosetta::Options options;
     options.expected_keys = p.expected_keys;
@@ -191,7 +183,6 @@ FilterRegistry::Entry SurfEntry() {
   entry.name = "surf";
   entry.display_name = "SuRF";
   entry.supports_ranges = true;
-  entry.online = false;  // offline-built succinct trie
   entry.build_from_sorted_keys = [](const std::vector<uint64_t>& keys,
                                     const FilterBuildParams& p) {
     Surf::Options options;
@@ -211,7 +202,6 @@ FilterRegistry::Entry FencePointersEntry() {
   entry.name = "fence_pointers";
   entry.display_name = "FencePointers";
   entry.supports_ranges = true;
-  entry.online = false;  // built from the sorted key set
   entry.build_from_sorted_keys = [](const std::vector<uint64_t>& keys,
                                     const FilterBuildParams& p) {
     return std::make_unique<FencePointers>(keys, p.bits_per_key);
@@ -222,19 +212,18 @@ FilterRegistry::Entry FencePointersEntry() {
 
 }  // namespace
 
-// Called by FilterRegistry::Instance() while constructing the
-// singleton: built-ins register directly (no static-init ordering
-// involved) and therefore always win name collisions against
-// macro-registered external backends.
-void RegisterBuiltinFilters(FilterRegistry& registry) {
-  registry.Register(BloomRFEntry());
-  registry.Register(BloomEntry());
-  registry.Register(BlockedBloomEntry());
-  registry.Register(PrefixBloomEntry());
-  registry.Register(CuckooEntry());
-  registry.Register(RosettaEntry());
-  registry.Register(SurfEntry());
-  registry.Register(FencePointersEntry());
+const FilterRegistry& FilterRegistry::Instance() {
+  static const FilterRegistry registry({
+      BloomRFEntry(),
+      BloomEntry(),
+      BlockedBloomEntry(),
+      PrefixBloomEntry(),
+      CuckooEntry(),
+      RosettaEntry(),
+      SurfEntry(),
+      FencePointersEntry(),
+  });
+  return registry;
 }
 
 }  // namespace bloomrf

@@ -2,7 +2,7 @@
 // backend, replacing the per-backend wiring the LSM policy layer and
 // the benchmark harness used to duplicate.
 //
-// Each backend registers three factories:
+// Each backend is one Entry with three factories:
 //   - BuildFromSortedKeys: offline construction over an SST's sorted
 //     unique keys (every backend; BuildFramed frames its output),
 //   - BuildOnline: incremental construction for streaming workloads
@@ -13,19 +13,19 @@
 // Serialized blocks use a common length-prefixed framing
 //   magic | len(name) | name | payload
 // so any block round-trips through the registry regardless of which
-// component stored it. Registration is either explicit
-// (FilterRegistry::Instance().Register(...)) or via the
-// BLOOMRF_REGISTER_FILTER macro at namespace scope.
+// component stored it. The registry is a constant table of the
+// built-in backends, listed once in builtin_filters.cc: a new backend
+// is one entry there. It never changes after construction, so lookups
+// take no lock.
 
 #ifndef BLOOMRF_FILTERS_REGISTRY_H_
 #define BLOOMRF_FILTERS_REGISTRY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "filters/filter.h"
@@ -65,18 +65,13 @@ class FilterRegistry {
     std::string name;          ///< registry key, e.g. "prefix_bloom"
     std::string display_name;  ///< canonical name, e.g. "PrefixBloom"
     bool supports_ranges = false;  ///< range probes can exclude intervals
-    bool online = false;           ///< build_online available
     BuildFromSortedKeysFn build_from_sorted_keys;
     BuildOnlineFn build_online;  ///< null for offline-only backends
     DeserializeFn deserialize;
   };
 
-  /// Global registry, pre-populated with the built-in backends.
-  static FilterRegistry& Instance();
-
-  /// Adds a backend. Returns false (and changes nothing) if the name or
-  /// display name is already taken or the entry is incomplete.
-  bool Register(Entry entry);
+  /// The table of built-in backends (defined in builtin_filters.cc).
+  static const FilterRegistry& Instance();
 
   /// Looks up a backend by registry key or display name; null if absent.
   const Entry* Find(std::string_view name) const;
@@ -104,35 +99,11 @@ class FilterRegistry {
   std::unique_ptr<PointRangeFilter> Deserialize(std::string_view framed) const;
 
  private:
-  FilterRegistry() = default;
+  explicit FilterRegistry(std::vector<Entry> entries)
+      : entries_(std::move(entries)) {}
 
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry, std::less<>> entries_;         // key: name
-  std::map<std::string, std::string, std::less<>> by_display_;  // display->name
+  const std::vector<Entry> entries_;
 };
-
-/// Registers the built-in backends into `registry` (defined in
-/// builtin_filters.cc). Called once by FilterRegistry::Instance()
-/// while constructing the singleton, so built-ins are present — with
-/// deterministic precedence — before any external registration runs.
-void RegisterBuiltinFilters(FilterRegistry& registry);
-
-/// Registers an external backend at static-initialization time:
-///   BLOOMRF_REGISTER_FILTER(my_filter, MakeMyFilterEntry());
-/// Collisions with existing names are rejected (and logged), never
-/// silently replaced.
-///
-/// Linker caveat: a static initializer only runs if its object file is
-/// linked into the binary. An otherwise-unreferenced TU inside a
-/// static archive is dead-stripped and the registration silently never
-/// happens — put the macro in a TU the binary already references (or
-/// force-link it). In-tree backends avoid this entirely by registering
-/// through RegisterBuiltinFilters in builtin_filters.cc.
-#define BLOOMRF_REGISTER_FILTER(ident, ...)                        \
-  namespace {                                                      \
-  const bool bloomrf_filter_registered_##ident =                   \
-      ::bloomrf::FilterRegistry::Instance().Register(__VA_ARGS__); \
-  }
 
 }  // namespace bloomrf
 

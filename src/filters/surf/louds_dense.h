@@ -27,9 +27,6 @@ class LoudsDenseLevel {
 
   static constexpr uint64_t kFanout = 256;
 
-  bool EdgeExists(uint64_t node, uint8_t label) const {
-    return labels_.Get(node * kFanout + label);
-  }
   bool EdgeHasChild(uint64_t node, uint8_t label) const {
     return has_child_.Get(node * kFanout + label);
   }

@@ -10,6 +10,7 @@
 
 #include "lsm/merging_iterator.h"
 #include "lsm/table_builder.h"
+#include "util/coding.h"
 
 namespace bloomrf {
 
@@ -22,7 +23,8 @@ constexpr uint64_t kManifestRewriteBytes = 1ull << 20;
 /// The workload sampler records 1 in 2^kSamplerPeriodLog2 queries.
 constexpr uint32_t kSamplerPeriodLog2 = 6;
 
-/// Parses "<stem><number><suffix>" names, e.g. wal-12.log or 7.sst.
+/// Parses "<stem><number><suffix>" names, e.g. wal-12.log or 7.sst. A
+/// name whose number does not fit 64 bits is not the engine's.
 bool ParseNumberedFile(const std::string& name, const std::string& stem,
                        const std::string& suffix, uint64_t* number) {
   if (name.size() <= stem.size() + suffix.size()) return false;
@@ -30,16 +32,10 @@ bool ParseNumberedFile(const std::string& name, const std::string& stem,
   if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
     return false;
   }
-  std::string digits =
-      name.substr(stem.size(), name.size() - stem.size() - suffix.size());
-  if (digits.empty()) return false;
-  uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *number = value;
-  return true;
+  return ParseDecimal(std::string_view(name).substr(
+                          stem.size(),
+                          name.size() - stem.size() - suffix.size()),
+                      number);
 }
 
 /// All files in `dir` matching stem/suffix, sorted by number.
@@ -462,19 +458,17 @@ bool Db::SealActive(bool force) {
   return !pending_failure;
 }
 
+FilterBuildContext Db::FilterContext() const {
+  // What the adaptive loop has learned: the live workload sketch and
+  // the measured FPR of every backend currently serving.
+  if (sampler_ == nullptr) return {};
+  return {sampler_.get(), CollectFilterFeedback()};
+}
+
 std::shared_ptr<const TableReader> Db::WriteSst(const MemTable& mem,
                                                 FileMeta* meta) {
-  TableBuilder builder(options_.filter_policy.get(), options_.block_size);
-  FilterFeedback feedback;
-  if (sampler_ != nullptr) {
-    // Hand the policy what the loop has learned: the live workload
-    // sketch and the measured FPR of every backend currently serving.
-    feedback = CollectFilterFeedback();
-    FilterBuildContext ctx;
-    ctx.sampler = sampler_.get();
-    ctx.feedback = &feedback;
-    builder.SetFilterContext(ctx);
-  }
+  TableBuilder builder(options_.filter_policy.get(), options_.block_size,
+                       FilterContext());
   // A sealed memtable takes no more writes, so its cursor streams a
   // consistent image, tombstones included (they keep shadowing older
   // tables).
@@ -619,7 +613,7 @@ void Db::MaybeScheduleCompaction() {
 }
 
 void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
-                    const FilterBuildContext* build_ctx, uint64_t lo,
+                    const FilterBuildContext& build_ctx, uint64_t lo,
                     uint64_t hi, SubcompactionResult* result) {
   // The job orders its inputs newest first, so the merge resolves each
   // key to its newest version. The ranges partition the key space, so
@@ -679,9 +673,8 @@ void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
       ++result->tombstones_dropped;
     } else {
       if (builder == nullptr) {
-        builder = std::make_unique<TableBuilder>(options_.filter_policy.get(),
-                                                 options_.block_size);
-        if (build_ctx != nullptr) builder->SetFilterContext(*build_ctx);
+        builder = std::make_unique<TableBuilder>(
+            options_.filter_policy.get(), options_.block_size, build_ctx);
       }
       builder->Add(key, merged.value(), tombstone);
     }
@@ -724,14 +717,7 @@ bool Db::RunCompaction(const CompactionJob& job) {
   // FPRs as they stand now, so the tree's filters follow the workload
   // as compaction naturally rewrites tables. One feedback snapshot is
   // shared read-only across the subcompactions.
-  FilterFeedback feedback;
-  FilterBuildContext build_ctx;
-  if (sampler_ != nullptr) {
-    feedback = CollectFilterFeedback();
-    build_ctx.sampler = sampler_.get();
-    build_ctx.feedback = &feedback;
-  }
-  const FilterBuildContext* ctx = sampler_ != nullptr ? &build_ctx : nullptr;
+  const FilterBuildContext build_ctx = FilterContext();
 
   // Range-partition the job: each range merges on its own worker
   // (the calling thread steals one), writes its own outputs, and all
@@ -740,12 +726,12 @@ bool Db::RunCompaction(const CompactionJob& job) {
       PickSubcompactionRanges(job, SubcompactionFanOut(options_));
   std::vector<SubcompactionResult> results(ranges.size());
   if (ranges.size() == 1) {
-    MergeRange(job, shadow, ctx, 0, UINT64_MAX, &results[0]);
+    MergeRange(job, shadow, build_ctx, 0, UINT64_MAX, &results[0]);
   } else {
     TaskGroup group(options_.compaction_pool.get());
     for (size_t i = 0; i < ranges.size(); ++i) {
-      group.Submit([this, &job, &shadow, ctx, &ranges, &results, i] {
-        MergeRange(job, shadow, ctx, ranges[i].first, ranges[i].second,
+      group.Submit([this, &job, &shadow, &build_ctx, &ranges, &results, i] {
+        MergeRange(job, shadow, build_ctx, ranges[i].first, ranges[i].second,
                    &results[i]);
       });
     }
@@ -1015,14 +1001,7 @@ FilterFeedback Db::CollectFilterFeedback() const {
     if (table->filter() == nullptr || table->filter_backend().empty()) {
       continue;
     }
-    TableReader::FilterOutcomes o = table->filter_outcomes();
-    BackendObservation* obs = feedback.FindOrAdd(table->filter_backend());
-    obs->point_allowed += o.point_allowed;
-    obs->point_false += o.point_false;
-    obs->point_negatives += o.point_negatives;
-    obs->range_allowed += o.range_allowed;
-    obs->range_false += o.range_false;
-    obs->range_negatives += o.range_negatives;
+    feedback.Add(table->filter_outcomes());
   }
   return feedback;
 }

@@ -382,6 +382,10 @@ class Db {
   /// and swaps the memtable for the new table in the Version. The
   /// sealed memtable stays in the Version on any failure.
   bool FlushSealed(const Version::Sealed& entry);
+  /// What every filter build of one flush or compaction job sees: the
+  /// sampler and a feedback snapshot taken now (empty when sampling is
+  /// off).
+  FilterBuildContext FilterContext() const;
   /// Durably writes `mem` as a new SST through env_ and reopens it;
   /// fills *meta with its manifest metadata.
   std::shared_ptr<const TableReader> WriteSst(const MemTable& mem,
@@ -429,7 +433,7 @@ class Db {
   /// subcompaction worker; touches only atomics, the shared read-only
   /// job state, and its own `result`.
   void MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
-                  const FilterBuildContext* build_ctx, uint64_t lo,
+                  const FilterBuildContext& build_ctx, uint64_t lo,
                   uint64_t hi, SubcompactionResult* result);
   /// Executes one job: splits it into range-partitioned subcompactions
   /// (PickSubcompactionRanges), merges them in parallel on the shared

@@ -8,6 +8,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "util/coding.h"
+
 namespace bloomrf {
 
 namespace {
@@ -109,16 +111,10 @@ uint64_t ReadNumberRecord(const std::string& path, std::string_view prefix) {
       content.compare(0, prefix.size(), prefix) != 0) {
     return 0;
   }
+  content.remove_prefix(prefix.size());
   uint64_t number = 0;
-  bool any = false;
-  for (size_t i = prefix.size(); i < content.size(); ++i) {
-    char c = content[i];
-    if (c == '\n') break;
-    if (c < '0' || c > '9') return 0;
-    number = number * 10 + static_cast<uint64_t>(c - '0');
-    any = true;
-  }
-  return any ? number : 0;
+  if (!ParseDecimal(content.substr(0, content.find('\n')), &number)) return 0;
+  return number;
 }
 
 bool WriteFileAtomically(Env* env, const std::string& dir,
@@ -204,12 +200,6 @@ void FaultInjectionEnv::CrashAtOp(uint64_t op, bool torn) {
   crash_torn_ = torn;
   crashed_ = false;
   op_count_ = 0;
-}
-
-void FaultInjectionEnv::ClearCrash() {
-  std::lock_guard<std::mutex> lock(mu_);
-  crash_at_ = -1;
-  crashed_ = false;
 }
 
 bool FaultInjectionEnv::crashed() const {

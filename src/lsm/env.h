@@ -78,7 +78,7 @@ bool WriteFileAtomically(Env* env, const std::string& dir,
 
 /// Reads a record file of `prefix`, a decimal number and "\n", such as
 /// CURRENT's "MANIFEST-7\n" (read directly, not through an Env). 0 when
-/// the file is missing or malformed.
+/// the file is missing or malformed, or its number overflows 64 bits.
 uint64_t ReadNumberRecord(const std::string& path, std::string_view prefix);
 
 /// Classifies a path into the fault-site kind used by
@@ -136,7 +136,6 @@ class FaultInjectionEnv : public Env {
 
   /// Arms the crash: operation index `op` (and everything after) fails.
   void CrashAtOp(uint64_t op, bool torn = false);
-  void ClearCrash();
   bool crashed() const;
   /// Operations executed so far (counted whether or not they failed;
   /// wal.* checkpoints excluded). Run a workload once against an

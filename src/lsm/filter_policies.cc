@@ -21,8 +21,9 @@ class RegistryFilterPolicy : public FilterPolicy {
 
   std::string Name() const override { return name_; }
 
-  std::string CreateFilter(
-      const std::vector<uint64_t>& sorted_keys) const override {
+  std::string CreateFilter(const std::vector<uint64_t>& sorted_keys,
+                           const FilterBuildContext& /*context*/)
+      const override {
     return FilterRegistry::Instance().BuildFramed(name_, sorted_keys, params_);
   }
 
@@ -40,18 +41,13 @@ AdaptiveFilterPolicy::AdaptiveFilterPolicy(PlannerOptions options)
 std::string AdaptiveFilterPolicy::Name() const { return "adaptive"; }
 
 std::string AdaptiveFilterPolicy::CreateFilter(
-    const std::vector<uint64_t>& sorted_keys) const {
-  return CreateFilter(sorted_keys, FilterBuildContext{});
-}
-
-std::string AdaptiveFilterPolicy::CreateFilter(
     const std::vector<uint64_t>& sorted_keys,
     const FilterBuildContext& context) const {
   FilterPlan plan =
       context.sampler == nullptr
           ? FallbackPlan(options_, "fallback: no workload sampler wired")
           : PlanFilter(context.sampler->Snapshot(), sorted_keys.size(),
-                       options_, context.feedback);
+                       options_, &context.feedback);
   const FilterRegistry& registry = FilterRegistry::Instance();
   std::string block = registry.BuildFramed(plan.backend, sorted_keys,
                                            plan.params);

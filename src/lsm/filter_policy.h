@@ -5,15 +5,17 @@
 //
 // A policy builds a filter over the sorted keys of an SST at flush time
 // (CreateFilter) and reconstitutes a probe object from the stored
-// filter block at open time (LoadFilter). There are two policies: the
-// static one (NewRegistryPolicy) builds one backend named in the
-// FilterRegistry from fixed FilterBuildParams, and AdaptiveFilterPolicy
-// picks the backend and its FilterBuildParams per table through
-// PlanFilter, configured by the planner's own PlannerOptions. Both
-// build through the one registry call, FilterRegistry::BuildFramed,
-// and the probe side IS the unified PointRangeFilter interface; filter
-// blocks are registry-framed (`name | payload`), so any policy
-// instance can load any backend's block.
+// filter block at open time (LoadFilter). Every build receives the
+// FilterBuildContext the Db snapshots once per flush or compaction job
+// (empty when sampling is off). There are two policies: the static one
+// (NewRegistryPolicy) builds one backend named in the FilterRegistry
+// from fixed FilterBuildParams, and AdaptiveFilterPolicy picks the
+// backend and its FilterBuildParams per table through PlanFilter,
+// configured by the planner's own PlannerOptions. Both build through
+// the one registry call, FilterRegistry::BuildFramed, and the probe
+// side IS the unified PointRangeFilter interface; filter blocks are
+// registry-framed (`name | payload`), so any policy instance can load
+// any backend's block.
 
 #ifndef BLOOMRF_LSM_FILTER_POLICY_H_
 #define BLOOMRF_LSM_FILTER_POLICY_H_
@@ -33,12 +35,13 @@
 namespace bloomrf {
 
 /// What the LSM has learned about its workload, for a policy that
-/// selects a filter per table. Both pointers are borrowed for the
-/// duration of the CreateFilter call; either may be null (the policy
-/// must degrade to its static behavior).
+/// selects a filter per table. `sampler` is the Db's own and outlives
+/// the Db's builds; it is null when sampling is off, and a policy then
+/// degrades to its static behavior. `feedback` is a copy taken when
+/// the job started.
 struct FilterBuildContext {
   const WorkloadSampler* sampler = nullptr;  ///< recent-query sketch
-  const FilterFeedback* feedback = nullptr;  ///< measured FPR per backend
+  FilterFeedback feedback;                   ///< measured FPR per backend
 };
 
 class FilterPolicy {
@@ -48,17 +51,10 @@ class FilterPolicy {
 
   /// Builds and serializes (registry-framed) a filter for one SST's
   /// sorted unique keys. Returns "" when no filter can be built (e.g.
-  /// unknown backend); the table then stores no filter block.
-  virtual std::string CreateFilter(
-      const std::vector<uint64_t>& sorted_keys) const = 0;
-
-  /// Context-aware build used by the LSM write path. Static policies
-  /// ignore the context; AdaptiveFilterPolicy plans from it.
+  /// unknown backend); the table then stores no filter block. Static
+  /// policies ignore the context; AdaptiveFilterPolicy plans from it.
   virtual std::string CreateFilter(const std::vector<uint64_t>& sorted_keys,
-                                   const FilterBuildContext& /*context*/)
-      const {
-    return CreateFilter(sorted_keys);
-  }
+                                   const FilterBuildContext& context) const = 0;
 
   /// True when the policy consumes workload samples and measured-FPR
   /// feedback; the Db then auto-creates a WorkloadSampler and collects
@@ -90,8 +86,6 @@ class AdaptiveFilterPolicy : public FilterPolicy {
   explicit AdaptiveFilterPolicy(PlannerOptions options = {});
 
   std::string Name() const override;
-  std::string CreateFilter(
-      const std::vector<uint64_t>& sorted_keys) const override;
   std::string CreateFilter(const std::vector<uint64_t>& sorted_keys,
                            const FilterBuildContext& context) const override;
   bool WantsQueryFeedback() const override { return true; }

@@ -26,13 +26,16 @@
 //
 // Filters are built over the full key set of the file ("full filter"
 // placement, as in the paper's RocksDB integration with
-// compaction-disabled block-based tables).
+// compaction-disabled block-based tables), by one
+// FilterPolicy::CreateFilter call that receives the FilterBuildContext
+// the builder was constructed with.
 
 #ifndef BLOOMRF_LSM_TABLE_BUILDER_H_
 #define BLOOMRF_LSM_TABLE_BUILDER_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lsm/block.h"
@@ -55,8 +58,14 @@ class TableBuilder {
   static constexpr uint64_t kMagicV3 = 0xb100f54b1e53ULL;
 
   /// `policy` may be null (no filter block). Does not take ownership.
-  TableBuilder(const FilterPolicy* policy, size_t block_size)
-      : policy_(policy), block_size_(block_size) {}
+  /// `context` is handed to the policy at filter-build time; the empty
+  /// default makes context-aware policies fall back to their static
+  /// behavior.
+  TableBuilder(const FilterPolicy* policy, size_t block_size,
+               FilterBuildContext context = {})
+      : policy_(policy),
+        context_(std::move(context)),
+        block_size_(block_size) {}
 
   /// Adds an entry; keys must arrive in strictly increasing order.
   /// A tombstone entry records a deletion (value ignored): it shadows
@@ -64,13 +73,6 @@ class TableBuilder {
   /// filter — a reader must find the tombstone (and stop) rather than
   /// fall through to a stale value below.
   void Add(uint64_t key, std::string_view value, bool tombstone = false);
-
-  /// Workload/feedback context handed to the policy at filter-build
-  /// time. Optional; the default context makes context-aware policies
-  /// fall back to their static behavior.
-  void SetFilterContext(const FilterBuildContext& context) {
-    context_ = context;
-  }
 
   size_t num_entries() const { return keys_.size(); }
   /// Serialized bytes so far (data written + current block); the

@@ -1,12 +1,13 @@
 // SST reader of the mini-LSM store. Each table counts its own filter
-// outcomes (allowed, false positive, rejected; see filter_outcomes()),
-// the one source of measured FPR. LsmStats counts block reads across
-// tables as they happen, and filter probes across tables once per
-// call: a point probe counts into the caller's ProbeTally, which the
-// caller adds to LsmStats when its lookup ends (Db::Get, Db::MultiGet),
-// and RangeMultiProbe adds once per batch. No read path takes a
-// timestamp: Fig. 12.G's probe/deserialization split is timed by
-// bench_fig12g_breakdown.
+// outcomes (allowed, false positive, rejected), the one source of
+// measured FPR; filter_outcomes() reports them as the planner's
+// BackendObservation, which Db::CollectFilterFeedback sums per
+// backend. LsmStats counts block reads across tables as they happen,
+// and filter probes across tables once per call: a point probe counts
+// into the caller's ProbeTally, which the caller adds to LsmStats when
+// its lookup ends (Db::Get, Db::MultiGet), and RangeMultiProbe adds
+// once per batch. No read path takes a timestamp: Fig. 12.G's
+// probe/deserialization split is timed by bench_fig12g_breakdown.
 //
 // Reads go through an optional shared BlockCache: a data block is read
 // and parsed at most once while it stays resident. Every point probe
@@ -295,25 +296,16 @@ class TableReader {
   /// from the framed filter block); "" when the table has no filter.
   const std::string& filter_backend() const { return filter_backend_; }
 
-  /// Lifetime probe outcomes of this table's filter, keyed for
-  /// per-backend feedback aggregation (Db::CollectFilterFeedback).
-  struct FilterOutcomes {
-    uint64_t point_allowed = 0;
-    uint64_t point_false = 0;
-    uint64_t point_negatives = 0;
-    uint64_t range_allowed = 0;
-    uint64_t range_false = 0;
-    uint64_t range_negatives = 0;
-  };
-  FilterOutcomes filter_outcomes() const {
-    FilterOutcomes out;
-    out.point_allowed = pt_allowed_.load(std::memory_order_relaxed);
-    out.point_false = pt_false_.load(std::memory_order_relaxed);
-    out.point_negatives = pt_neg_.load(std::memory_order_relaxed);
-    out.range_allowed = rg_allowed_.load(std::memory_order_relaxed);
-    out.range_false = rg_false_.load(std::memory_order_relaxed);
-    out.range_negatives = rg_neg_.load(std::memory_order_relaxed);
-    return out;
+  /// Lifetime probe outcomes of this table's filter, under its
+  /// backend's name (Db::CollectFilterFeedback sums them per backend).
+  BackendObservation filter_outcomes() const {
+    return {filter_backend_,
+            pt_allowed_.load(std::memory_order_relaxed),
+            pt_false_.load(std::memory_order_relaxed),
+            pt_neg_.load(std::memory_order_relaxed),
+            rg_allowed_.load(std::memory_order_relaxed),
+            rg_false_.load(std::memory_order_relaxed),
+            rg_neg_.load(std::memory_order_relaxed)};
   }
 
   /// Closes the loop for a range probe the filter allowed: callers of

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 
 namespace bloomrf {
 
@@ -28,14 +27,10 @@ class Backoff {
 
   void Reset() { next_ = initial_; }
 
-  uint64_t failures() const { return failures_; }
-  void RecordFailure() { ++failures_; }
-
  private:
   const std::chrono::milliseconds initial_;
   const std::chrono::milliseconds max_;
   std::chrono::milliseconds next_;
-  uint64_t failures_ = 0;
 };
 
 }  // namespace bloomrf

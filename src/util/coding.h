@@ -4,10 +4,12 @@
 #ifndef BLOOMRF_UTIL_CODING_H_
 #define BLOOMRF_UTIL_CODING_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace bloomrf {
 
@@ -50,6 +52,18 @@ inline bool GetLengthPrefixed(std::string_view src, size_t* pos,
   if (*pos + len > src.size()) return false;
   *out = src.substr(*pos, len);
   *pos += len;
+  return true;
+}
+
+/// Parses `digits`, one or more decimal digits and nothing else, into
+/// *value. False (and *value untouched) on any other character, an
+/// empty string, or a number past UINT64_MAX.
+inline bool ParseDecimal(std::string_view digits, uint64_t* value) {
+  uint64_t parsed = 0;
+  const char* end = digits.data() + digits.size();
+  auto [stop, ec] = std::from_chars(digits.data(), end, parsed);
+  if (ec != std::errc() || stop != end) return false;
+  *value = parsed;
   return true;
 }
 

@@ -141,10 +141,10 @@ TEST(FilterPlannerTest, MeasuredDivergenceDistrustsTheModel) {
   ASSERT_EQ(trusting.backend, "blocked_bloom");
 
   FilterFeedback feedback;
-  BackendObservation* obs = feedback.FindOrAdd("blocked_bloom");
-  obs->point_allowed = 5'000;
-  obs->point_false = 5'000;  // measured FPR ~0.33 vs model ~1e-4
-  obs->point_negatives = 10'000;
+  feedback.Add({.backend = "blocked_bloom",
+                .point_allowed = 5'000,
+                .point_false = 5'000,  // measured FPR ~0.33 vs model ~1e-4
+                .point_negatives = 10'000});
   FilterPlan distrusting = PlanFilter(snap, 100'000, options, &feedback);
   EXPECT_NE(distrusting.backend, "blocked_bloom");
   EXPECT_GT(CostOf(distrusting, "blocked_bloom"),
@@ -156,8 +156,8 @@ TEST(FilterPlannerTest, ObservationBelowProbeFloorIsIgnored) {
   options.feedback_min_probes = 512;
   WorkloadSnapshot snap = PointSnapshot(10'000);
   FilterFeedback feedback;
-  BackendObservation* obs = feedback.FindOrAdd("blocked_bloom");
-  obs->point_false = 100;  // only 100 definite outcomes: noise
+  // Only 100 definite outcomes: noise.
+  feedback.Add({.backend = "blocked_bloom", .point_false = 100});
   FilterPlan plan = PlanFilter(snap, 100'000, options, &feedback);
   EXPECT_EQ(plan.backend, "blocked_bloom");
 }

@@ -1,4 +1,4 @@
-// Registry-parameterized round-trip tests: every registered backend
+// Registry-parameterized round-trip tests: every backend in the table
 // must build from sorted keys, serialize through the common framing,
 // deserialize back through the registry, and answer identically —
 // with no false negatives — on both point and range probes.
@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/bloomrf.h"
@@ -19,36 +21,6 @@ namespace bloomrf {
 namespace {
 
 using ::bloomrf::testing::RandomKeySet;
-
-// An external backend registered through the public macro, proving a
-// new filter is a single-translation-unit change. It remembers nothing
-// and answers true everywhere (trivially no false negatives).
-class AlwaysTrueFilter : public PointRangeFilter {
- public:
-  std::string Name() const override { return "AlwaysTrue"; }
-  bool MayContain(uint64_t) const override { return true; }
-  bool MayContainRange(uint64_t, uint64_t) const override { return true; }
-  uint64_t MemoryBits() const override { return 1; }
-  std::string Serialize() const override { return ""; }
-};
-
-FilterRegistry::Entry AlwaysTrueEntry() {
-  FilterRegistry::Entry entry;
-  entry.name = "always_true";
-  entry.display_name = "AlwaysTrue";
-  entry.build_from_sorted_keys = [](const std::vector<uint64_t>&,
-                                    const FilterBuildParams&) {
-    return std::make_unique<AlwaysTrueFilter>();
-  };
-  entry.deserialize = [](std::string_view payload)
-      -> std::unique_ptr<PointRangeFilter> {
-    if (!payload.empty()) return nullptr;
-    return std::make_unique<AlwaysTrueFilter>();
-  };
-  return entry;
-}
-
-BLOOMRF_REGISTER_FILTER(always_true, AlwaysTrueEntry())
 
 std::vector<uint64_t> SortedKeys(size_t n, uint64_t seed) {
   auto keyset = RandomKeySet(n, seed);
@@ -70,7 +42,29 @@ TEST(FilterRegistryTest, ListsAllBuiltinBackends) {
         "rosetta", "surf", "fence_pointers"}) {
     EXPECT_EQ(have.count(expected), 1u) << expected;
   }
-  EXPECT_GE(have.size(), 6u);
+  EXPECT_EQ(names.size(), 8u);
+}
+
+TEST(FilterRegistryTest, BuiltinTableIsWellFormed) {
+  const FilterRegistry& registry = FilterRegistry::Instance();
+  const std::vector<std::string> names = registry.Names();
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  // Find resolves keys and display names alike, so the two share one
+  // namespace: a repeat in either would hide an entry.
+  std::set<std::string> taken;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const FilterRegistry::Entry* entry = registry.Find(name);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->name, name);
+    for (const std::string& id : {entry->name, entry->display_name}) {
+      EXPECT_FALSE(id.empty());
+      EXPECT_LE(id.size(), 64u);  // the frame parser's name limit
+      EXPECT_TRUE(taken.insert(id).second) << id << " repeats";
+    }
+    EXPECT_TRUE(entry->build_from_sorted_keys);
+    EXPECT_TRUE(entry->deserialize);
+  }
 }
 
 TEST(FilterRegistryTest, FindResolvesKeyAndDisplayName) {
@@ -81,9 +75,6 @@ TEST(FilterRegistryTest, FindResolvesKeyAndDisplayName) {
   EXPECT_EQ(registry.Find("bloomRF"), by_key);
   EXPECT_EQ(registry.Find("no_such_filter"), nullptr);
   EXPECT_EQ(registry.BuildFramed("no_such_filter", {1, 2}, TestParams()), "");
-  // The macro-registered external backend resolves like a built-in.
-  ASSERT_NE(registry.Find("always_true"), nullptr);
-  EXPECT_EQ(registry.Find("always_true")->display_name, "AlwaysTrue");
 }
 
 TEST(FilterRegistryTest, RoundTripIdenticalAnswersEveryBackend) {
@@ -156,10 +147,7 @@ TEST(FilterRegistryTest, OnlineBuildHasNoFalseNegatives) {
   for (const std::string& name : registry.Names()) {
     SCOPED_TRACE(name);
     const auto* entry = registry.Find(name);
-    if (!entry->online) {
-      EXPECT_EQ(entry->build_online, nullptr);
-      continue;
-    }
+    if (entry->build_online == nullptr) continue;  // offline-only
     auto filter = entry->build_online(params);
     ASSERT_NE(filter, nullptr);
     for (uint64_t k : keys) filter->Insert(k);
@@ -215,41 +203,57 @@ TEST(FilterRegistryTest, FramingRejectsCorruptBlocks) {
             nullptr);
 }
 
-TEST(FilterRegistryTest, RegisterRejectsDuplicatesAndIncompleteEntries) {
-  auto& registry = FilterRegistry::Instance();
-  const auto* bloom = registry.Find("bloom");
-  ASSERT_NE(bloom, nullptr);
+// Lookups, builds and loads run at every table open and filter build,
+// from flush, compaction and reader threads at once, and take no lock:
+// the table never changes. Four threads must each get the answers of a
+// one-thread pass.
+TEST(FilterRegistryTest, ConcurrentUseMatchesOneThread) {
+  const FilterRegistry& registry = FilterRegistry::Instance();
+  const auto keys = SortedKeys(2000, 309);
+  const auto probes = SortedKeys(256, 310);
+  struct Answers {
+    std::vector<const FilterRegistry::Entry*> by_key, by_display;
+    std::vector<std::string> blocks, reserialized;
+    std::vector<bool> probe_answers;
+  };
+  auto run = [&] {
+    Answers a;
+    for (const std::string& name : registry.Names()) {
+      const FilterRegistry::Entry* entry = registry.Find(name);
+      a.by_key.push_back(entry);
+      a.by_display.push_back(registry.Find(entry->display_name));
+      a.blocks.push_back(registry.BuildFramed(name, keys, TestParams()));
+      auto restored = registry.Deserialize(a.blocks.back());
+      a.reserialized.push_back(restored == nullptr ? ""
+                                                   : restored->Serialize());
+      for (uint64_t y : probes) {
+        a.probe_answers.push_back(restored != nullptr &&
+                                  restored->MayContain(y));
+        a.probe_answers.push_back(restored != nullptr &&
+                                  restored->MayContainRange(y, y | 0xfff));
+      }
+    }
+    return a;
+  };
 
-  FilterRegistry::Entry dup = *bloom;  // same name
-  EXPECT_FALSE(registry.Register(dup));
-
-  FilterRegistry::Entry alias = *bloom;
-  alias.name = "bloom_again";  // same display name
-  EXPECT_FALSE(registry.Register(alias));
-
-  FilterRegistry::Entry incomplete;
-  incomplete.name = "incomplete";
-  incomplete.display_name = "Incomplete";
-  EXPECT_FALSE(registry.Register(incomplete));  // missing factories
-
-  FilterRegistry::Entry inconsistent = *bloom;
-  inconsistent.name = "bloom_inconsistent";
-  inconsistent.display_name = "BloomInconsistent";
-  inconsistent.online = true;
-  inconsistent.build_online = nullptr;  // flag promises what's absent
-  EXPECT_FALSE(registry.Register(inconsistent));
-
-  // Keys and display names share Find's namespace: a key colliding
-  // with an existing display name (or vice versa) would shadow it.
-  FilterRegistry::Entry shadow = *bloom;
-  shadow.name = "Bloom";  // collides with bloom's display name
-  shadow.display_name = "ShadowBloom";
-  EXPECT_FALSE(registry.Register(shadow));
-
-  FilterRegistry::Entry shadow2 = *bloom;
-  shadow2.name = "shadow_bloom";
-  shadow2.display_name = "bloom";  // collides with bloom's key
-  EXPECT_FALSE(registry.Register(shadow2));
+  const Answers expected = run();
+  ASSERT_EQ(expected.blocks.size(), 8u);
+  for (size_t i = 0; i < expected.blocks.size(); ++i) {
+    ASSERT_NE(expected.by_key[i], nullptr);
+    ASSERT_FALSE(expected.blocks[i].empty());
+    ASSERT_FALSE(expected.reserialized[i].empty());
+  }
+  std::vector<Answers> got(4);
+  std::vector<std::thread> threads;
+  for (Answers& g : got) threads.emplace_back([&g, &run] { g = run(); });
+  for (std::thread& t : threads) t.join();
+  for (const Answers& g : got) {
+    EXPECT_EQ(g.by_key, expected.by_key);
+    EXPECT_EQ(g.by_display, expected.by_key);
+    EXPECT_EQ(g.blocks, expected.blocks);
+    EXPECT_EQ(g.reserialized, expected.reserialized);
+    EXPECT_EQ(g.probe_answers, expected.probe_answers);
+  }
 }
 
 }  // namespace

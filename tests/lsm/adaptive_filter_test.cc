@@ -32,8 +32,9 @@ class RotatingPolicy : public FilterPolicy {
 
   std::string Name() const override { return "rotating"; }
 
-  std::string CreateFilter(
-      const std::vector<uint64_t>& sorted_keys) const override {
+  std::string CreateFilter(const std::vector<uint64_t>& sorted_keys,
+                           const FilterBuildContext& /*context*/)
+      const override {
     size_t turn = turn_.fetch_add(1, std::memory_order_relaxed);
     return FilterRegistry::Instance().BuildFramed(
         names_[std::min(turn, names_.size() - 1)], sorted_keys,
@@ -267,14 +268,14 @@ TEST_F(AdaptiveFilterTest, AdaptivePolicyWithoutSamplerFallsBack) {
   auto policy = NewAdaptiveFilterPolicy({.bits_per_key = 16.0});
   std::vector<uint64_t> keys;
   for (uint64_t k = 0; k < 500; ++k) keys.push_back(k * 11);
-  std::string block = policy->CreateFilter(keys);  // no context at all
+  std::string block = policy->CreateFilter(keys, {});  // empty context
   ASSERT_FALSE(block.empty());
   EXPECT_EQ(policy->fallback_builds(), 1u);
   EXPECT_TRUE(policy->LastPlan().used_fallback);
   // The fallback is the static bloomRF policy's filter, byte for byte:
   // both come from the one registry build.
   EXPECT_EQ(block, NewRegistryPolicy("bloomrf", {.bits_per_key = 16.0})
-                       ->CreateFilter(keys));
+                       ->CreateFilter(keys, {}));
   auto filter = policy->LoadFilter(block);
   ASSERT_NE(filter, nullptr);
   for (uint64_t k = 0; k < 500; ++k) {

@@ -53,8 +53,9 @@ class CyclingPolicy : public FilterPolicy {
  public:
   std::string Name() const override { return "cycling"; }
 
-  std::string CreateFilter(
-      const std::vector<uint64_t>& sorted_keys) const override {
+  std::string CreateFilter(const std::vector<uint64_t>& sorted_keys,
+                           const FilterBuildContext& /*context*/)
+      const override {
     static const std::vector<std::string> kCycle = {
         "bloomrf", "blocked_bloom", "rosetta", "prefix_bloom"};
     size_t turn = turn_.fetch_add(1, std::memory_order_relaxed);

@@ -43,7 +43,7 @@ std::vector<PolicyCase> AllPolicies() {
 TEST(FilterPolicyTest, RoundTripNoFalseNegatives) {
   auto keys = SortedKeys(20000, 201);
   for (auto& pc : AllPolicies()) {
-    std::string blob = pc.policy->CreateFilter(keys);
+    std::string blob = pc.policy->CreateFilter(keys, {});
     auto probe = pc.policy->LoadFilter(blob);
     ASSERT_NE(probe, nullptr) << pc.label;
     for (uint64_t k : keys) {
@@ -58,7 +58,7 @@ TEST(FilterPolicyTest, RoundTripNoFalseNegatives) {
 TEST(FilterPolicyTest, CorruptBlocksRejectedOrSafe) {
   auto keys = SortedKeys(1000, 202);
   for (auto& pc : AllPolicies()) {
-    std::string blob = pc.policy->CreateFilter(keys);
+    std::string blob = pc.policy->CreateFilter(keys, {});
     // Truncations must never crash; either nullptr or a safe probe.
     for (size_t cut : {size_t{0}, size_t{1}, blob.size() / 2,
                        blob.size() - 1}) {
@@ -73,7 +73,7 @@ TEST(FilterPolicyTest, CorruptBlocksRejectedOrSafe) {
 TEST(FilterPolicyTest, EmptyKeySetProducesWorkingFilter) {
   std::vector<uint64_t> empty;
   for (auto& pc : AllPolicies()) {
-    std::string blob = pc.policy->CreateFilter(empty);
+    std::string blob = pc.policy->CreateFilter(empty, {});
     auto probe = pc.policy->LoadFilter(blob);
     if (probe != nullptr) {
       // An empty filter may answer anything, but must not crash.
@@ -88,7 +88,7 @@ TEST(FilterPolicyTest, BlocksSelfDescribeAcrossPolicies) {
   // instance: the frame's name, not the loading policy, selects the
   // backend.
   auto keys = SortedKeys(2000, 206);
-  std::string blob = NewBloomRFPolicy(18.0, 1e6)->CreateFilter(keys);
+  std::string blob = NewBloomRFPolicy(18.0, 1e6)->CreateFilter(keys, {});
   auto probe = NewBloomPolicy(10.0)->LoadFilter(blob);
   ASSERT_NE(probe, nullptr);
   EXPECT_EQ(probe->Name(), "bloomRF");
@@ -98,14 +98,14 @@ TEST(FilterPolicyTest, BlocksSelfDescribeAcrossPolicies) {
 TEST(FilterPolicyTest, UnknownBackendYieldsNoFilter) {
   auto policy = NewRegistryPolicy("definitely_not_registered");
   EXPECT_EQ(policy->Name(), "definitely_not_registered");
-  EXPECT_EQ(policy->CreateFilter(SortedKeys(10, 207)), "");
+  EXPECT_EQ(policy->CreateFilter(SortedKeys(10, 207), {}), "");
   EXPECT_EQ(policy->LoadFilter("garbage"), nullptr);
 }
 
 TEST(FilterPolicyTest, BloomRFPolicyExcludesEmptyRanges) {
   auto keys = SortedKeys(50000, 203);
   auto policy = NewBloomRFPolicy(20.0, 1e6);
-  auto probe = policy->LoadFilter(policy->CreateFilter(keys));
+  auto probe = policy->LoadFilter(policy->CreateFilter(keys, {}));
   ASSERT_NE(probe, nullptr);
   Rng rng(204);
   uint64_t excluded = 0, empties = 0;
@@ -138,7 +138,7 @@ TEST(FilterPolicyTest, NamesAreStable) {
 TEST(FilterPolicyTest, MemoryBitsTrackBudget) {
   auto keys = SortedKeys(50000, 205);
   auto policy = NewBloomRFPolicy(18.0, 1e6);
-  auto probe = policy->LoadFilter(policy->CreateFilter(keys));
+  auto probe = policy->LoadFilter(policy->CreateFilter(keys, {}));
   ASSERT_NE(probe, nullptr);
   double bpk = static_cast<double>(probe->MemoryBits()) /
                static_cast<double>(keys.size());

@@ -314,6 +314,17 @@ TEST_F(ManifestTest, CurrentFileRoundTripAndMalformedContents) {
   EXPECT_EQ(ReadCurrentManifestNumber(dir_), 0u);
 }
 
+TEST_F(ManifestTest, NumberRecordRejectsOverflow) {
+  const std::string path = dir_ + "/RECORD";
+  WriteFile(path, "mix64 18446744073709551615\n");  // 2^64 - 1 fits
+  EXPECT_EQ(ReadNumberRecord(path, "mix64 "), UINT64_MAX);
+  // 2^64 + 1, which a parser that wraps reads as 1.
+  WriteFile(path, "mix64 18446744073709551617\n");
+  EXPECT_EQ(ReadNumberRecord(path, "mix64 "), 0u);
+  WriteFile(path, "mix64 99999999999999999999999\n");
+  EXPECT_EQ(ReadNumberRecord(path, "mix64 "), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Db-level recovery when the manifest chain is damaged.
 // ---------------------------------------------------------------------

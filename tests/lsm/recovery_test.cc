@@ -117,6 +117,20 @@ TEST_P(RecoveryTest, GarbageTailAfterKillIsIgnored) {
   for (uint64_t k = 0; k < 50; ++k) ASSERT_TRUE(db.Get(k, &value));
 }
 
+TEST_P(RecoveryTest, WalNameWhoseNumberOverflowsIsLeftAlone) {
+  // 2^64 + 1 is no log number of the engine's. A parser that wraps
+  // reads it as log 1, replays it and deletes it with the first flush.
+  std::filesystem::create_directories(dir_);
+  const std::string stray = dir_ + "/wal-18446744073709551617.log";
+  std::ofstream(stray) << "not a log record";
+  Db db(Options());
+  EXPECT_EQ(db.recovery_stats().wal_files_replayed, 0u);
+  EXPECT_TRUE(db.recovery_stats().wal_clean);
+  ASSERT_TRUE(db.Put(1, "v"));
+  ASSERT_TRUE(db.Flush());
+  EXPECT_TRUE(std::filesystem::exists(stray));
+}
+
 TEST_P(RecoveryTest, BatchIsAllOrNothingInRecovery) {
   {
     Db db(Options());

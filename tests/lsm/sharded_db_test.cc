@@ -340,7 +340,8 @@ TEST_F(ShardedDbTest, StoreWithoutReadableRecordRecordsRequestedCount) {
   // be read, opens with the requested count and records it.
   const std::string record = dir_ + "/SHARDS";
   { ShardedDb db = MakeDb(NewBloomPolicy(10.0), 3); }
-  for (const char* stale : {"", "mix64 0\n", "mix64 5 junk\n", "hash 4\n"}) {
+  for (const char* stale : {"", "mix64 0\n", "mix64 5 junk\n", "hash 4\n",
+                            "mix64 18446744073709551617\n"}) {
     SCOPED_TRACE(stale);
     std::ofstream(record, std::ios::trunc) << stale;
     EXPECT_EQ(MakeDb(NewBloomPolicy(10.0), 5).num_shards(), 5u);

@@ -45,6 +45,23 @@ TEST(CodingTest, LengthPrefixedRejectsTruncation) {
   EXPECT_FALSE(GetLengthPrefixed(s, &pos, &out));
 }
 
+TEST(CodingTest, ParseDecimalTakesDigitsThatFit) {
+  uint64_t value = 7;
+  EXPECT_TRUE(ParseDecimal("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseDecimal("000123", &value));
+  EXPECT_EQ(value, 123u);
+  EXPECT_TRUE(ParseDecimal("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  value = 7;
+  for (const char* bad : {"", "18446744073709551616", "18446744073709551617",
+                          "123456789012345678901", "-1", "+1", " 1", "1 ",
+                          "12x", "0x10"}) {
+    EXPECT_FALSE(ParseDecimal(bad, &value)) << bad;
+    EXPECT_EQ(value, 7u) << bad;
+  }
+}
+
 TEST(CodingTest, BigEndianKeyPreservesOrder) {
   uint64_t values[] = {0,       1,          255,        256,
                        1ULL << 32, 1ULL << 63, UINT64_MAX - 1, UINT64_MAX};
