@@ -11,9 +11,11 @@ namespace bloomrf {
 namespace {
 
 // Serialized format tag, followed later in the header by the
-// hash-scheme byte. The only scheme is hash-once double hashing (1);
-// any other tag or scheme byte is rejected.
-constexpr uint32_t kFormatTagV2 = 0xb100f002;
+// hash-scheme byte and, after the seed, the key base. The only scheme
+// is hash-once double hashing (1); any other tag or scheme byte is
+// rejected, so a block from before the key base (tag 0xb100f002) does
+// not load.
+constexpr uint32_t kFormatTagV3 = 0xb100f003;
 constexpr uint8_t kSchemeDoubleHash = 1;
 
 // Replica r's slot from the word key's base hash h.
@@ -33,6 +35,10 @@ BloomRF::BloomRF(BloomRFConfig config) : config_(std::move(config)) {
   for (uint64_t& m : config_.segment_bits) m = (m + 63) & ~63ULL;
 
   top_level_ = config_.TopLevel();
+  // The domain [key_base, key_base + 2^d - 1], capped at UINT64_MAX
+  // (d is 1..64 once validated).
+  max_offset_ = std::min(UINT64_MAX >> (64 - config_.domain_bits),
+                         UINT64_MAX - config_.key_base);
   uint64_t seed_state = config_.seed;
   perm_seed_ = SplitMix64(seed_state);
 
@@ -65,12 +71,16 @@ bool BloomRF::WordReversed(const Layer& layer, uint64_t word_key) const {
 uint64_t BloomRF::WordIndexForKey(uint64_t key, size_t layer_idx,
                                   uint32_t replica) const {
   const Layer& layer = layers_[layer_idx];
-  uint64_t word_key = Shr(key, layer.level + layer.offset_bits);
+  uint64_t word_key =
+      Shr(key - config_.key_base, layer.level + layer.offset_bits);
   return SlotFromHash(Hash64(word_key, layer.seed_base), replica,
                       layer.num_slots);
 }
 
 void BloomRF::Insert(uint64_t key) {
+  key -= config_.key_base;
+  assert(key <= max_offset_ && "key outside the filter's domain");
+  if (key > max_offset_) return;
   for (const Layer& layer : layers_) {
     uint64_t prefix = Shr(key, layer.level);
     uint64_t word_key = prefix >> layer.offset_bits;
@@ -135,6 +145,11 @@ bool BloomRF::TestPrefixRange(const Layer& layer, uint64_t x, uint64_t y,
 }
 
 bool BloomRF::MayContain(uint64_t key, ProbeStats* stats) const {
+  const uint64_t offset = key - config_.key_base;
+  return offset <= max_offset_ && ProbeOffset(offset, stats);
+}
+
+bool BloomRF::ProbeOffset(uint64_t key, ProbeStats* stats) const {
   if (config_.has_exact_layer && !exact_.TestBit(Shr(key, top_level_))) {
     if (stats) ++stats->bit_probes;
     return false;
@@ -162,13 +177,17 @@ void BloomRF::MayContainBatch(std::span<const uint64_t> keys,
   }
   std::vector<uint64_t> pos(num_slots * kProbeStripe);  // key-major
   uint64_t exact_pos[kProbeStripe] = {};
+  bool in_domain[kProbeStripe] = {};
 
-  for (size_t base = 0; base < keys.size(); base += kProbeStripe) {
-    const size_t stripe = std::min(kProbeStripe, keys.size() - base);
-    // Pass 1: hash every (key, layer) word key once, derive each
-    // replica's bit position, and start pulling its block into cache.
+  for (size_t first = 0; first < keys.size(); first += kProbeStripe) {
+    const size_t stripe = std::min(kProbeStripe, keys.size() - first);
+    // Pass 1: rebase each key; for those in the domain, hash every
+    // (key, layer) word key once, derive each replica's bit position,
+    // and start pulling its block into cache.
     for (size_t j = 0; j < stripe; ++j) {
-      uint64_t key = keys[base + j];
+      uint64_t key = keys[first + j] - config_.key_base;
+      in_domain[j] = key <= max_offset_;
+      if (!in_domain[j]) continue;
       uint64_t* key_pos = &pos[j * num_slots];
       if (config_.has_exact_layer) {
         exact_pos[j] = Shr(key, top_level_);
@@ -196,14 +215,15 @@ void BloomRF::MayContainBatch(std::span<const uint64_t> keys,
     // lines already in flight.
     for (size_t j = 0; j < stripe; ++j) {
       const uint64_t* key_pos = &pos[j * num_slots];
-      bool alive = !config_.has_exact_layer || exact_.TestBit(exact_pos[j]);
+      bool alive = in_domain[j] &&
+                   (!config_.has_exact_layer || exact_.TestBit(exact_pos[j]));
       for (size_t i = num_layers; alive && i-- > 0;) {
         const BitArray& seg = segments_[layers_[i].segment];
         for (uint32_t r = 0; alive && r < layers_[i].replicas; ++r) {
           alive = seg.TestBit(key_pos[slot_base[i] + r]);
         }
       }
-      out[base + j] = alive;
+      out[first + j] = alive;
     }
   }
 }
@@ -218,8 +238,17 @@ bool BloomRF::ExactRangeProbe(uint64_t lp, uint64_t rp,
 
 bool BloomRF::MayContainRange(uint64_t lo, uint64_t hi,
                               ProbeStats* stats) const {
+  // Clip to the domain; keys are stored as offsets from its base.
+  const uint64_t base = config_.key_base;
+  lo = std::max(lo, base);
+  hi = std::min(hi, base + max_offset_);
   if (lo > hi) return false;
-  if (lo == hi) return MayContain(lo, stats);
+  return ProbeOffsetRange(lo - base, hi - base, stats);
+}
+
+bool BloomRF::ProbeOffsetRange(uint64_t lo, uint64_t hi,
+                               ProbeStats* stats) const {
+  if (lo == hi) return ProbeOffset(lo, stats);
 
   // --- Top boundary: exact layer if present, otherwise levels at or
   // above TopLevel() are treated as saturated coverings.
@@ -336,7 +365,7 @@ std::vector<double> BloomRF::ZeroBitFractions() const {
 
 std::string BloomRF::Serialize() const {
   std::string out;
-  PutFixed32(&out, kFormatTagV2);
+  PutFixed32(&out, kFormatTagV3);
   PutFixed32(&out, config_.domain_bits);
   PutFixed32(&out, static_cast<uint32_t>(config_.num_layers()));
   for (size_t i = 0; i < config_.num_layers(); ++i) {
@@ -350,6 +379,7 @@ std::string BloomRF::Serialize() const {
   out.push_back(config_.permute_words ? 1 : 0);
   out.push_back(static_cast<char>(kSchemeDoubleHash));
   PutFixed64(&out, config_.seed);
+  PutFixed64(&out, config_.key_base);
   for (const BitArray& seg : segments_) seg.SerializeTo(&out);
   if (config_.has_exact_layer) exact_.SerializeTo(&out);
   return out;
@@ -365,7 +395,7 @@ std::optional<BloomRF> BloomRF::Deserialize(std::string_view data) {
   };
   if (!need(12)) return std::nullopt;
   uint32_t tag = DecodeFixed32(data.data());
-  if (tag != kFormatTagV2) return std::nullopt;
+  if (tag != kFormatTagV3) return std::nullopt;
   BloomRFConfig cfg;
   cfg.domain_bits = DecodeFixed32(data.data() + 4);
   uint32_t k = DecodeFixed32(data.data() + 8);
@@ -386,14 +416,15 @@ std::optional<BloomRF> BloomRF::Deserialize(std::string_view data) {
     cfg.segment_bits.push_back(DecodeFixed64(data.data() + pos));
     pos += 8;
   }
-  if (!need(11)) return std::nullopt;
+  if (!need(19)) return std::nullopt;
   cfg.has_exact_layer = data[pos++] != 0;
   cfg.permute_words = data[pos++] != 0;
   if (static_cast<uint8_t>(data[pos++]) != kSchemeDoubleHash) {
     return std::nullopt;
   }
   cfg.seed = DecodeFixed64(data.data() + pos);
-  pos += 8;
+  cfg.key_base = DecodeFixed64(data.data() + pos + 8);
+  pos += 16;
   if (!cfg.Validate().empty()) return std::nullopt;
 
   // The payload must hold exactly the bit arrays the config describes

@@ -14,6 +14,13 @@
 // integers, floats/doubles and strings onto this domain while
 // preserving order, and core/multi_attribute.h for dual-attribute
 // filtering.
+//
+// A filter covers [key_base, key_base + 2^domain_bits - 1] (capped at
+// UINT64_MAX; see BloomRFConfig) and stores every key as its offset
+// from key_base. Each probe first rebases its key with one subtraction
+// and one compare: a point outside the domain answers "no" and a range
+// is clipped to it, so no probe indexes past a bit array whatever key
+// it asks for.
 
 #ifndef BLOOMRF_CORE_BLOOMRF_H_
 #define BLOOMRF_CORE_BLOOMRF_H_
@@ -46,8 +53,10 @@ class BloomRF {
   BloomRF(BloomRF&&) = default;
   BloomRF& operator=(BloomRF&&) = default;
 
-  /// Inserts a key. Thread-safe with respect to concurrent Insert and
-  /// probe calls (relaxed atomics; see util/bit_array.h).
+  /// Inserts a key of the domain. Thread-safe with respect to
+  /// concurrent Insert and probe calls (relaxed atomics; see
+  /// util/bit_array.h). A key outside the domain cannot be stored: it
+  /// is ignored (asserted in debug builds).
   void Insert(uint64_t key);
 
   /// Approximate point membership: false means definitely absent.
@@ -81,7 +90,8 @@ class BloomRF {
   /// model validation tests.
   std::vector<double> ZeroBitFractions() const;
 
-  /// Serializes config + bit arrays into a string (LSM filter blocks).
+  /// Serializes config (key base included) + bit arrays into a string
+  /// (LSM filter blocks).
   std::string Serialize() const;
 
   /// Reconstructs a filter from Serialize() output.
@@ -95,8 +105,9 @@ class BloomRF {
     return segments_[segment].size_blocks();
   }
 
-  /// The word index (within its segment) a key maps to on `layer` with
-  /// replica `replica` — exposed for the PMHF scatter experiment.
+  /// The word index (within its segment) a key of the domain maps to
+  /// on `layer` with replica `replica` — exposed for the PMHF scatter
+  /// experiment.
   uint64_t WordIndexForKey(uint64_t key, size_t layer,
                            uint32_t replica) const;
 
@@ -144,7 +155,13 @@ class BloomRF {
 
   bool ExactRangeProbe(uint64_t lp, uint64_t rp, ProbeStats* stats) const;
 
+  /// MayContain and MayContainRange on keys already rebased into
+  /// [0, max_offset_].
+  bool ProbeOffset(uint64_t key, ProbeStats* stats) const;
+  bool ProbeOffsetRange(uint64_t lo, uint64_t hi, ProbeStats* stats) const;
+
   BloomRFConfig config_;
+  uint64_t max_offset_ = 0;  // largest key - key_base in the domain
   std::vector<Layer> layers_;  // bottom (level 0) first
   std::vector<BitArray> segments_;
   BitArray exact_;

@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -97,8 +99,16 @@ std::string BloomRFConfig::DebugString() const {
   if (has_exact_layer) {
     os << "(level " << TopLevel() << ", " << ExactBits() << " bits)";
   }
+  if (key_base != 0) os << " base=" << key_base;
   os << "}";
   return os.str();
+}
+
+KeyDomain KeyDomainOf(std::span<const uint64_t> sorted_keys) {
+  if (sorted_keys.empty()) return {};
+  const uint64_t span = sorted_keys.back() - sorted_keys.front();
+  return {sorted_keys.front(),
+          std::max<uint32_t>(1, static_cast<uint32_t>(std::bit_width(span)))};
 }
 
 }  // namespace bloomrf

@@ -8,21 +8,34 @@
 // segments (Sect. 7 "Memory Management"); the optional *exact layer*
 // stores dyadic level sum(delta) as a plain bitmap. Levels above the
 // top stored level are treated as saturated and are not represented.
+//
+// A filter covers the key domain [key_base, key_base + 2^d - 1]
+// (capped at UINT64_MAX) and stores each key as its offset
+// key - key_base. An SST filter is built for its own keys' span
+// (KeyDomainOf), so the tuning advisor sizes the layers and the exact
+// layer for that span rather than for the whole 64-bit domain.
 
 #ifndef BLOOMRF_CORE_CONFIG_H_
 #define BLOOMRF_CORE_CONFIG_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace bloomrf {
 
 struct BloomRFConfig {
-  /// Domain size in bits (d). Keys live in [0, 2^d). 64 for the native
-  /// uint64 domain; smaller values are used by tests for exhaustive
-  /// ground-truth sweeps.
+  /// Domain size in bits (d). Keys live in [key_base, key_base + 2^d).
+  /// 64 for the native uint64 domain; an SST filter uses its keys'
+  /// span, and tests use small domains for exhaustive ground-truth
+  /// sweeps.
   uint32_t domain_bits = 64;
+
+  /// Smallest key of the domain. The filter stores key - key_base;
+  /// probes outside the domain answer "no" without touching memory.
+  /// Derived from the keys (KeyDomainOf), never tuned.
+  uint64_t key_base = 0;
 
   /// Per-layer level distance, bottom layer first. delta[i] in [1, 7]
   /// (word sizes 1..64 bits). Basic bloomRF uses a constant delta = 7.
@@ -88,6 +101,15 @@ struct BloomRFConfig {
 
   std::string DebugString() const;
 };
+
+/// The smallest domain that holds a sorted key set: based at its
+/// smallest key, with domain_bits = max(1, bit_width(max - min)). An
+/// empty set keeps the whole 64-bit domain at base 0.
+struct KeyDomain {
+  uint64_t key_base = 0;
+  uint32_t domain_bits = 64;
+};
+KeyDomain KeyDomainOf(std::span<const uint64_t> sorted_keys);
 
 }  // namespace bloomrf
 

@@ -122,7 +122,8 @@ FilterPlan FallbackPlan(const PlannerOptions& options, std::string reason) {
   return plan;
 }
 
-FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
+FilterPlan PlanFilter(const WorkloadSnapshot& snapshot,
+                      std::span<const uint64_t> sorted_keys,
                       const PlannerOptions& options,
                       const FilterFeedback* feedback) {
   if (snapshot.total_samples() < options.min_samples) {
@@ -131,6 +132,7 @@ FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
                      " samples < min " + std::to_string(options.min_samples));
   }
 
+  const uint64_t table_keys = sorted_keys.size();
   const uint64_t n = std::max<uint64_t>(table_keys, 2);
   const uint64_t m = std::max<uint64_t>(
       256, static_cast<uint64_t>(options.bits_per_key *
@@ -151,14 +153,16 @@ FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
 
   std::vector<Candidate> candidates;
 
-  // bloomRF: the tuning advisor over the measured width histogram, fed
-  // exactly what the registry's bloomrf entry feeds it at build time.
+  // bloomRF: the tuning advisor over the measured width histogram at
+  // the keys' own domain, fed exactly what the registry's bloomrf entry
+  // feeds it at build time.
   {
     AdvisorParams advisor;
     advisor.n = table_keys;
     advisor.total_bits = static_cast<uint64_t>(
         options.bits_per_key * static_cast<double>(table_keys));
     advisor.max_range = plan.params.max_range;
+    advisor.domain_bits = KeyDomainOf(sorted_keys).domain_bits;
     advisor.range_weights = weights;
     const AdvisorResult advised = AdviseConfig(advisor);
     Candidate c;

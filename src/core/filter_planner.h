@@ -1,7 +1,7 @@
 // Filter planner: the decision half of the adaptive tuning loop.
 //
 // Consumes a WorkloadSnapshot (point/range mix + range-width
-// histogram), a per-table key count and a bits-per-key budget, scores
+// histogram), a table's sorted keys and a bits-per-key budget, scores
 // every candidate filter backend with the analytic models in
 // core/fpr_model.h + core/tuning_advisor.h, and emits the backend name
 // (a FilterRegistry key) plus the FilterBuildParams the registry
@@ -12,8 +12,9 @@
 // Candidates and their models:
 //  - bloomrf        AdviseConfig over the measured range-width
 //                   histogram (delta ladder, exact layer, replicas,
-//                   segment split) — the paper's tuning advisor fed
-//                   live weights instead of one static max_range;
+//                   segment split) at the bit width of the table's key
+//                   span — the paper's tuning advisor fed live weights
+//                   instead of one static max_range;
 //  - blocked_bloom  BasicPointFpr; range FPR 1 (cannot exclude
 //                   ranges). One cache line per probe, so it carries
 //                   the smallest probe-cost term — the pick for
@@ -34,6 +35,7 @@
 #define BLOOMRF_CORE_FILTER_PLANNER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,9 +110,12 @@ struct FilterPlan {
 /// its rationale.
 FilterPlan FallbackPlan(const PlannerOptions& options, std::string reason);
 
-/// Scores every candidate for `table_keys` keys under the sampled
-/// workload and returns the cheapest. `feedback` may be null.
-FilterPlan PlanFilter(const WorkloadSnapshot& snapshot, uint64_t table_keys,
+/// Scores every candidate for a table's sorted unique keys under the
+/// sampled workload and returns the cheapest. bloomRF is scored at the
+/// keys' own domain (KeyDomainOf), the one the registry builds it for.
+/// `feedback` may be null.
+FilterPlan PlanFilter(const WorkloadSnapshot& snapshot,
+                      std::span<const uint64_t> sorted_keys,
                       const PlannerOptions& options,
                       const FilterFeedback* feedback = nullptr);
 

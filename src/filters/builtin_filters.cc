@@ -52,25 +52,38 @@ FilterRegistry::BuildFromSortedKeysFn OfflineViaOnline(
 
 // ---------------------------------------------------------------- bloomRF
 
+// The tuning advisor (Sect. 7) for n keys of `domain`, on the sampled
+// width histogram or on max_range without one; PlanFilter scores
+// bloomRF with these inputs.
+std::unique_ptr<BloomRFFilter> AdvisedBloomRF(const FilterBuildParams& p,
+                                              uint64_t n, KeyDomain domain) {
+  AdvisorParams advisor;
+  advisor.n = n;
+  advisor.total_bits =
+      static_cast<uint64_t>(p.bits_per_key * static_cast<double>(n));
+  advisor.max_range = p.max_range;
+  advisor.domain_bits = domain.domain_bits;
+  advisor.range_weights = p.range_weights;
+  BloomRFConfig config = AdviseConfig(advisor).config;
+  config.key_base = domain.key_base;
+  if (p.seed != 0) config.seed = p.seed;
+  return std::make_unique<BloomRFFilter>(BloomRF(std::move(config)));
+}
+
 FilterRegistry::Entry BloomRFEntry() {
   FilterRegistry::Entry entry;
   entry.name = "bloomrf";
   entry.display_name = "bloomRF";
   entry.supports_ranges = true;
+  // With no keys yet, the whole 64-bit domain.
   entry.build_online = [](const FilterBuildParams& p) {
-    // The tuning advisor (Sect. 7) on the sampled width histogram, or on
-    // max_range without one; PlanFilter scores bloomRF with these inputs.
-    AdvisorParams advisor;
-    advisor.n = p.expected_keys;
-    advisor.total_bits = static_cast<uint64_t>(
-        p.bits_per_key * static_cast<double>(p.expected_keys));
-    advisor.max_range = p.max_range;
-    advisor.range_weights = p.range_weights;
-    BloomRFConfig config = AdviseConfig(advisor).config;
-    if (p.seed != 0) config.seed = p.seed;
-    return std::make_unique<BloomRFFilter>(BloomRF(std::move(config)));
+    return AdvisedBloomRF(p, p.expected_keys, KeyDomain{});
   };
-  entry.build_from_sorted_keys = OfflineViaOnline(entry.build_online);
+  // Sized for the keys' own span, based at the smallest key.
+  entry.build_from_sorted_keys = [](const std::vector<uint64_t>& keys,
+                                    const FilterBuildParams& p) {
+    return InsertAll(AdvisedBloomRF(p, keys.size(), KeyDomainOf(keys)), keys);
+  };
   entry.deserialize = DeserializeAs<BloomRFFilter>;
   return entry;
 }

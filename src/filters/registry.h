@@ -4,9 +4,12 @@
 //
 // Each backend is one Entry with three factories:
 //   - BuildFromSortedKeys: offline construction over an SST's sorted
-//     unique keys (every backend; BuildFramed frames its output),
+//     unique keys (every backend; BuildFramed frames its output).
+//     bloomRF's is advised for the keys' own domain (KeyDomainOf in
+//     core/config.h): based at the smallest key, as wide as their span,
 //   - BuildOnline: incremental construction for streaming workloads
-//     (null for offline-only structures such as SuRF, fence pointers),
+//     (null for offline-only structures such as SuRF, fence pointers;
+//     bloomRF's, with no keys to size for, covers the 64-bit domain),
 //   - Deserialize: payload -> filter (the inverse of
 //     PointRangeFilter::Serialize).
 //

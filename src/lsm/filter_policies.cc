@@ -46,8 +46,8 @@ std::string AdaptiveFilterPolicy::CreateFilter(
   FilterPlan plan =
       context.sampler == nullptr
           ? FallbackPlan(options_, "fallback: no workload sampler wired")
-          : PlanFilter(context.sampler->Snapshot(), sorted_keys.size(),
-                       options_, &context.feedback);
+          : PlanFilter(context.sampler->Snapshot(), sorted_keys, options_,
+                       &context.feedback);
   const FilterRegistry& registry = FilterRegistry::Instance();
   std::string block = registry.BuildFramed(plan.backend, sorted_keys,
                                            plan.params);

@@ -57,8 +57,11 @@ inline bool GetLengthPrefixed(std::string_view src, size_t* pos,
 
 /// Parses `digits`, one or more decimal digits and nothing else, into
 /// *value. False (and *value untouched) on any other character, an
-/// empty string, or a number past UINT64_MAX.
+/// empty string, a leading zero other than "0" itself, or a number past
+/// UINT64_MAX. The engine writes every number with std::to_string, so
+/// "0001" names no file of its own.
 inline bool ParseDecimal(std::string_view digits, uint64_t* value) {
+  if (digits.size() > 1 && digits.front() == '0') return false;
   uint64_t parsed = 0;
   const char* end = digits.data() + digits.size();
   auto [stop, ec] = std::from_chars(digits.data(), end, parsed);

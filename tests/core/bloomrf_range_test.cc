@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "core/bloomrf.h"
 #include "core/tuning_advisor.h"
+#include "filters/bloomrf_filter.h"
+#include "filters/registry.h"
 #include "tests/test_util.h"
 
 namespace bloomrf {
@@ -228,6 +233,75 @@ INSTANTIATE_TEST_SUITE_P(MaxRanges, AdvisedRangeTest,
                            return "R1e" + std::to_string(static_cast<int>(
                                               std::log10(info.param)));
                          });
+
+// ---------------------------------------------------------------------
+// Rebased filters: the registry builds bloomRF for its keys' own
+// domain, based at the smallest key.
+// ---------------------------------------------------------------------
+
+// Key sets of every span width 2^1 .. 2^64, based at 0, at a random key
+// and at the top of the 64-bit domain. Every key, and every range that
+// holds one, must probe positive, before and after a framed
+// serialization round trip.
+TEST(BloomRFRangeTest, RebasedFiltersHaveNoFalseNegatives) {
+  const FilterRegistry& registry = FilterRegistry::Instance();
+  const FilterRegistry::Entry* entry = registry.Find("bloomrf");
+  ASSERT_NE(entry, nullptr);
+  const FilterBuildParams param_sets[] = {
+      {.bits_per_key = 16.0, .max_range = 1 << 20},
+      {.bits_per_key = 8.0, .max_range = 16},
+  };
+  Rng rng(0x5ba5e);
+  uint64_t checks = 0;
+  for (uint32_t bits = 1; bits <= 64; ++bits) {
+    const uint64_t span = UINT64_MAX >> (64 - bits);  // 2^bits - 1
+    for (uint64_t base : {uint64_t{0}, rng.Uniform(UINT64_MAX - span + 1),
+                          UINT64_MAX - span}) {
+      // Both ends of the span, so the keys need all `bits`, plus random
+      // keys inside it.
+      std::set<uint64_t> key_set = {base, base + span};
+      const uint64_t n = bits < 8 ? uint64_t{1} << bits : 200;
+      while (key_set.size() < n) key_set.insert(base + rng.Uniform(span));
+      const std::vector<uint64_t> keys(key_set.begin(), key_set.end());
+      for (const FilterBuildParams& params : param_sets) {
+        SCOPED_TRACE(::testing::Message()
+                     << "bits " << bits << " base " << base << " bpk "
+                     << params.bits_per_key);
+        std::unique_ptr<PointRangeFilter> built =
+            entry->build_from_sorted_keys(keys, params);
+        const auto* bloomrf = dynamic_cast<const BloomRFFilter*>(built.get());
+        ASSERT_NE(bloomrf, nullptr);
+        EXPECT_EQ(bloomrf->impl().config().key_base, base);
+        EXPECT_EQ(bloomrf->impl().config().domain_bits, bits);
+        std::unique_ptr<PointRangeFilter> restored = registry.Deserialize(
+            FilterRegistry::Frame("bloomrf", built->Serialize()));
+        ASSERT_NE(restored, nullptr);
+
+        for (const PointRangeFilter* filter : {built.get(), restored.get()}) {
+          auto batch = std::make_unique<bool[]>(keys.size());
+          filter->MayContainBatch(keys, batch.get());
+          for (size_t i = 0; i < keys.size(); ++i) {
+            const uint64_t k = keys[i];
+            ASSERT_TRUE(batch[i]) << k;
+            ASSERT_TRUE(filter->MayContain(k)) << k;
+            ASSERT_TRUE(filter->MayContainRange(k, k)) << k;
+            ASSERT_TRUE(filter->MayContainRange(0, k)) << k;
+            ASSERT_TRUE(filter->MayContainRange(k, UINT64_MAX)) << k;
+            // A range of random width around the key, at a random place.
+            const uint64_t width = rng.Next() >> rng.Uniform(64);
+            const uint64_t lo = k - std::min(k, rng.Uniform(width + 1));
+            const uint64_t hi = lo + std::min(UINT64_MAX - lo, width);
+            if (hi < k) continue;
+            ASSERT_TRUE(filter->MayContainRange(lo, hi))
+                << "[" << lo << ", " << hi << "] holds " << k;
+            checks += 6;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 250'000u);
+}
 
 }  // namespace
 }  // namespace bloomrf

@@ -4,11 +4,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/tuning_advisor.h"
+#include "tests/test_util.h"
 
 namespace bloomrf {
 namespace {
+
+/// n sorted keys evenly spread over the whole 64-bit domain: bloomRF is
+/// scored at 64 domain bits, as for an L0 file.
+std::vector<uint64_t> SpreadKeys(uint64_t n) {
+  std::vector<uint64_t> keys(n);
+  for (uint64_t i = 0; i < n; ++i) keys[i] = i * (UINT64_MAX / n);
+  return keys;
+}
+
+const std::vector<uint64_t>& TableKeys() {
+  static const std::vector<uint64_t> keys = SpreadKeys(100'000);
+  return keys;
+}
 
 WorkloadSnapshot PointSnapshot(uint64_t samples) {
   WorkloadSnapshot snap;
@@ -37,7 +52,7 @@ TEST(FilterPlannerTest, PurePointWorkloadPicksBlockedBloom) {
   // No range ever sampled: the range-incapable backend with the
   // cheapest probe and the model-best point FPR should win.
   PlannerOptions options;
-  FilterPlan plan = PlanFilter(PointSnapshot(10'000), 100'000, options);
+  FilterPlan plan = PlanFilter(PointSnapshot(10'000), TableKeys(), options);
   EXPECT_EQ(plan.backend, "blocked_bloom");
   EXPECT_FALSE(plan.used_fallback);
   EXPECT_LT(plan.predicted_point_fpr, 0.01);
@@ -51,7 +66,8 @@ TEST(FilterPlannerTest, PureWideRangeWorkloadPicksRangeCapableBackend) {
   // All queries are ~2^30-wide ranges: point-only Blooms score range
   // FPR 1 and must lose to a genuinely range-capable design.
   PlannerOptions options;
-  FilterPlan plan = PlanFilter(RangeSnapshot(10'000, 30), 100'000, options);
+  FilterPlan plan =
+      PlanFilter(RangeSnapshot(10'000, 30), TableKeys(), options);
   EXPECT_NE(plan.backend, "blocked_bloom");
   EXPECT_NE(plan.backend, "bloom");
   EXPECT_LT(plan.predicted_range_fpr, 1.0);
@@ -74,7 +90,7 @@ TEST(FilterPlannerTest, BimodalWorkloadPicksBloomRF) {
   snap.range_samples = 10'000;
   snap.range_width_log2[16] = 10'000;
   PlannerOptions options;
-  FilterPlan plan = PlanFilter(snap, 100'000, options);
+  FilterPlan plan = PlanFilter(snap, TableKeys(), options);
   EXPECT_EQ(plan.backend, "bloomrf");
   // The plan carries the histogram it scored, and the advisor turns
   // those params into a valid configuration.
@@ -87,6 +103,39 @@ TEST(FilterPlannerTest, BimodalWorkloadPicksBloomRF) {
   EXPECT_TRUE(AdviseConfig(advisor).config.Validate().empty());
   EXPECT_LT(plan.predicted_point_fpr, 0.05);
   EXPECT_LT(plan.predicted_range_fpr, 0.5);
+}
+
+TEST(FilterPlannerTest, BloomRFIsScoredAtTheKeysDomain) {
+  // A leveled SST's keys fill a thin slice of the domain, and the
+  // registry advises its bloomRF for the slice's bit width: the planner
+  // predicts bloomRF's FPR at that width too, so it scores the filter
+  // it builds.
+  WorkloadSnapshot snap;
+  snap.ops = 20'000;
+  snap.point_samples = 10'000;
+  snap.range_samples = 10'000;
+  snap.range_width_log2[16] = 10'000;
+  PlannerOptions options;
+  for (uint64_t slices : {1, 19, 1000}) {
+    SCOPED_TRACE(slices);
+    const std::vector<uint64_t> keys =
+        ::bloomrf::testing::SliceKeys(52'600, slices, 80 + slices);
+    FilterPlan plan = PlanFilter(snap, keys, options);
+    ASSERT_EQ(plan.backend, "bloomrf");
+    AdvisorParams advisor;
+    advisor.n = keys.size();
+    advisor.total_bits = static_cast<uint64_t>(
+        options.bits_per_key * static_cast<double>(keys.size()));
+    advisor.max_range = plan.params.max_range;
+    advisor.domain_bits = KeyDomainOf(keys).domain_bits;
+    advisor.range_weights = plan.params.range_weights;
+    EXPECT_EQ(advisor.domain_bits, slices == 1     ? 64u
+                                   : slices == 19 ? 60u
+                                                  : 55u);
+    const AdvisorResult advice = AdviseConfig(advisor);
+    EXPECT_DOUBLE_EQ(plan.predicted_point_fpr, advice.expected_point_fpr);
+    EXPECT_DOUBLE_EQ(plan.predicted_range_fpr, advice.expected_range_fpr);
+  }
 }
 
 TEST(FilterPlannerTest, SingleBucketHistogramMatchesScalarMaxRange) {
@@ -120,7 +169,7 @@ TEST(FilterPlannerTest, TooFewSamplesFallsBack) {
   PlannerOptions options;
   options.min_samples = 32;
   options.bits_per_key = 12.0;
-  FilterPlan plan = PlanFilter(PointSnapshot(5), 100'000, options);
+  FilterPlan plan = PlanFilter(PointSnapshot(5), TableKeys(), options);
   EXPECT_TRUE(plan.used_fallback);
   EXPECT_EQ(plan.backend, "bloomrf");
   // The fallback sizes bloomRF for the default max range, at the
@@ -137,7 +186,7 @@ TEST(FilterPlannerTest, MeasuredDivergenceDistrustsTheModel) {
   // abandon it for a backend reality has not contradicted.
   PlannerOptions options;
   WorkloadSnapshot snap = PointSnapshot(10'000);
-  FilterPlan trusting = PlanFilter(snap, 100'000, options);
+  FilterPlan trusting = PlanFilter(snap, TableKeys(), options);
   ASSERT_EQ(trusting.backend, "blocked_bloom");
 
   FilterFeedback feedback;
@@ -145,7 +194,8 @@ TEST(FilterPlannerTest, MeasuredDivergenceDistrustsTheModel) {
                 .point_allowed = 5'000,
                 .point_false = 5'000,  // measured FPR ~0.33 vs model ~1e-4
                 .point_negatives = 10'000});
-  FilterPlan distrusting = PlanFilter(snap, 100'000, options, &feedback);
+  FilterPlan distrusting =
+      PlanFilter(snap, TableKeys(), options, &feedback);
   EXPECT_NE(distrusting.backend, "blocked_bloom");
   EXPECT_GT(CostOf(distrusting, "blocked_bloom"),
             CostOf(trusting, "blocked_bloom"));
@@ -158,7 +208,7 @@ TEST(FilterPlannerTest, ObservationBelowProbeFloorIsIgnored) {
   FilterFeedback feedback;
   // Only 100 definite outcomes: noise.
   feedback.Add({.backend = "blocked_bloom", .point_false = 100});
-  FilterPlan plan = PlanFilter(snap, 100'000, options, &feedback);
+  FilterPlan plan = PlanFilter(snap, TableKeys(), options, &feedback);
   EXPECT_EQ(plan.backend, "blocked_bloom");
 }
 

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "core/bloomrf.h"
 #include "core/fpr_model.h"
+#include "core/tuning_advisor.h"
+#include "filters/registry.h"
 #include "tests/test_util.h"
 
 namespace bloomrf {
@@ -16,6 +21,7 @@ namespace {
 using ::bloomrf::testing::GroundTruthRange;
 using ::bloomrf::testing::RandomKeySet;
 using ::bloomrf::testing::RangeEnd;
+using ::bloomrf::testing::SliceKeys;
 
 TEST(FprModelTest, PointFprMatchesBloomFormula) {
   // (1 - e^{-kn/m})^k at k=6, n=1e6, m=1.4e7.
@@ -98,6 +104,63 @@ TEST(FprModelTest, ExtendedModelPredictsMeasuredRangeFpr) {
   double measured = static_cast<double>(fp) / static_cast<double>(negatives);
   double predicted = model.MaxFprUpToRange(kRange);
   EXPECT_LT(measured, predicted * 4 + 0.01);
+}
+
+TEST(FprModelTest, SlicedDomainMeetsTheModelAtTheSpansBits) {
+  // A leveled SST's keys fill a thin slice of the 64-bit domain. The
+  // registry's bloomRF is advised for the slice's bit width, so the
+  // model at that width predicts what the filter measures when probed
+  // inside the slice: points, and ranges of widths 2^2 .. 2^20. Tuned
+  // for the whole domain instead, the same filters measured 4-16x the
+  // 64-bit model's 0.00167 (point) and 0.0106 (range).
+  constexpr size_t kKeys = 52'600;
+  const FilterBuildParams params = {.bits_per_key = 16.0,
+                                    .max_range = 1 << 20};
+  for (uint64_t slices : {19, 1000}) {
+    SCOPED_TRACE(slices);
+    const std::vector<uint64_t> keys = SliceKeys(kKeys, slices, 60 + slices);
+    std::unique_ptr<PointRangeFilter> filter =
+        FilterRegistry::Instance().Find("bloomrf")->build_from_sorted_keys(
+            keys, params);
+    AdvisorParams advisor;
+    advisor.n = kKeys;
+    advisor.total_bits = static_cast<uint64_t>(params.bits_per_key * kKeys);
+    advisor.max_range = params.max_range;
+    advisor.domain_bits = KeyDomainOf(keys).domain_bits;
+    EXPECT_LT(advisor.domain_bits, 64u);
+    const AdvisorResult advice = AdviseConfig(advisor);
+
+    auto holds_key = [&](uint64_t lo, uint64_t hi) {
+      auto it = std::lower_bound(keys.begin(), keys.end(), lo);
+      return it != keys.end() && *it <= hi;
+    };
+    const uint64_t span = keys.back() - keys.front();
+    Rng rng(70 + slices);
+    uint64_t point_fp = 0, point_negatives = 0;
+    for (int i = 0; i < 200'000; ++i) {
+      const uint64_t y = keys.front() + rng.Uniform(span);
+      if (holds_key(y, y)) continue;
+      ++point_negatives;
+      point_fp += filter->MayContain(y) ? 1 : 0;
+    }
+    uint64_t range_fp = 0, range_negatives = 0;
+    for (int i = 0; i < 100'000; ++i) {
+      const uint64_t width = uint64_t{1} << (2 + rng.Uniform(19));
+      const uint64_t lo = keys.front() + rng.Uniform(span - width);
+      const uint64_t hi = lo + width - 1;
+      if (holds_key(lo, hi)) continue;
+      ++range_negatives;
+      range_fp += filter->MayContainRange(lo, hi) ? 1 : 0;
+    }
+    const double point = static_cast<double>(point_fp) /
+                         static_cast<double>(point_negatives);
+    const double range = static_cast<double>(range_fp) /
+                         static_cast<double>(range_negatives);
+    EXPECT_LT(point, 2 * advice.expected_point_fpr);
+    EXPECT_LT(advice.expected_point_fpr, 2 * point);
+    EXPECT_LT(range, 2 * advice.expected_range_fpr);
+    EXPECT_LT(advice.expected_range_fpr, 2 * range);
+  }
 }
 
 TEST(FprModelTest, FprDecreasesWithLevelBelowTop) {

@@ -1,15 +1,17 @@
 // Probe-semantics edge cases of the two-path range algorithm: domain
-// boundaries, conservative caps, early stopping, the covering/
-// decomposition accounting exposed through ProbeStats, and batched
-// point probes answering like scalar ones on configs the filter
-// registry never builds.
+// boundaries, probes outside a filter's domain, conservative caps,
+// early stopping, the covering/decomposition accounting exposed
+// through ProbeStats, and batched point probes answering like scalar
+// ones on configs the filter registry never builds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "core/bloomrf.h"
+#include "core/tuning_advisor.h"
 #include "tests/test_util.h"
 
 namespace bloomrf {
@@ -26,6 +28,90 @@ TEST(ProbeSemanticsTest, DomainBoundaryRanges) {
   EXPECT_TRUE(filter.MayContainRange(0, 1));
   EXPECT_TRUE(filter.MayContainRange(UINT64_MAX - 1, UINT64_MAX));
   EXPECT_TRUE(filter.MayContainRange(0, UINT64_MAX));
+}
+
+// A filter covers [key_base, key_base + 2^d - 1], capped at
+// UINT64_MAX. Every probe outside it answers "no" before it indexes a
+// bit array: a d-bit exact bitmap probed with a key >= 2^d would read
+// past its end. Configs with and without an exact layer, at base 0, at
+// a base whose domain ends at UINT64_MAX, and at one whose domain is
+// capped there.
+TEST(ProbeSemanticsTest, ProbesOutsideTheDomainAnswerNo) {
+  constexpr uint32_t kBits = 20;
+  constexpr uint64_t kWidth = uint64_t{1} << kBits;
+  AdvisorParams advisor;
+  advisor.n = 100;
+  advisor.total_bits = 1600;
+  advisor.max_range = 1 << 10;
+  advisor.domain_bits = kBits;
+  const BloomRFConfig exact = AdviseConfig(advisor).config;
+  ASSERT_TRUE(exact.has_exact_layer) << exact.DebugString();
+  const BloomRFConfig basic = BloomRFConfig::Basic(100, 16.0, kBits);
+  ASSERT_FALSE(basic.has_exact_layer);
+
+  for (BloomRFConfig cfg : {exact, basic}) {
+    for (uint64_t base : {uint64_t{0}, UINT64_MAX - kWidth + 1,
+                          UINT64_MAX - kWidth / 2}) {
+      cfg.key_base = base;
+      SCOPED_TRACE(cfg.DebugString());
+      const uint64_t top = base + std::min(kWidth - 1, UINT64_MAX - base);
+      BloomRF filter(cfg);
+      // Keys at both edges of the domain and inside it.
+      std::vector<uint64_t> keys = {base, top};
+      for (uint64_t k : RandomKeySet(98, 0xd0a + base, top - base)) {
+        keys.push_back(base + k);
+      }
+      for (uint64_t k : keys) filter.Insert(k);
+
+      std::vector<uint64_t> outside;
+      if (base > 0) outside.insert(outside.end(), {0, base - 5, base - 1});
+      if (top < UINT64_MAX) {
+        outside.insert(outside.end(),
+                       {top + 1, top + 5, top + kWidth, UINT64_MAX});
+      }
+      for (uint64_t y : outside) {
+        ProbeStats stats;
+        EXPECT_FALSE(filter.MayContain(y, &stats)) << y;
+        EXPECT_FALSE(filter.MayContainRange(y, y, &stats)) << y;
+        EXPECT_EQ(stats.bit_probes + stats.word_probes, 0u) << y;
+      }
+      // A batch mixing keys and outside probes answers like the scalar
+      // probes: every key, no outside probe.
+      std::vector<uint64_t> batch = keys;
+      batch.insert(batch.end(), outside.begin(), outside.end());
+      auto out = std::make_unique<bool[]>(batch.size());
+      filter.MayContainBatch(batch, out.get());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(out[i], i < keys.size()) << batch[i];
+      }
+
+      // Ranges wholly outside answer "no"; ranges straddling an edge
+      // answer as their clip to the domain, and the edge keys make
+      // those clips hold a key.
+      ProbeStats stats;
+      if (base > 0) {
+        EXPECT_FALSE(filter.MayContainRange(0, base - 1, &stats));
+        EXPECT_TRUE(filter.MayContainRange(0, base));
+        EXPECT_TRUE(filter.MayContainRange(base - 5, base));
+        EXPECT_EQ(filter.MayContainRange(base - 5, base + 100),
+                  filter.MayContainRange(base, base + 100));
+      }
+      if (top < UINT64_MAX) {
+        EXPECT_FALSE(filter.MayContainRange(top + 1, UINT64_MAX, &stats));
+        EXPECT_FALSE(filter.MayContainRange(top + 1, top + 1, &stats));
+        EXPECT_TRUE(filter.MayContainRange(top, UINT64_MAX));
+        EXPECT_TRUE(filter.MayContainRange(top, top + 5));
+        EXPECT_EQ(filter.MayContainRange(top - 100, top + kWidth),
+                  filter.MayContainRange(top - 100, top));
+      }
+      EXPECT_EQ(stats.bit_probes + stats.word_probes, 0u);
+      EXPECT_TRUE(filter.MayContainRange(0, UINT64_MAX));
+      for (uint64_t k : keys) {
+        ASSERT_TRUE(filter.MayContain(k)) << k;
+        ASSERT_TRUE(filter.MayContainRange(k, k)) << k;
+      }
+    }
+  }
 }
 
 TEST(ProbeSemanticsTest, TopLayerCapIsConservativeTrueOnly) {

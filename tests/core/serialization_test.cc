@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/bloomrf.h"
 #include "core/tuning_advisor.h"
@@ -11,10 +12,12 @@ namespace bloomrf {
 namespace {
 
 using ::bloomrf::testing::RandomKeySet;
+using ::bloomrf::testing::RangeEnd;
 
 // Offset of the hash-scheme byte in a serialized filter: tag, domain
 // bits, layer count, 3 bytes per layer, segment count, 8 bytes per
-// segment, exact-layer and permutation flags.
+// segment, exact-layer and permutation flags. The seed and the key base
+// (8 bytes each) follow it.
 size_t SchemeByteOffset(const BloomRFConfig& cfg) {
   return 12 + 3 * cfg.num_layers() + 4 + 8 * cfg.segment_bits.size() + 2;
 }
@@ -76,7 +79,8 @@ TEST(SerializationTest, RejectsGarbage) {
       BloomRF::Deserialize(std::string(200, '\xff')).has_value());
 
   // Retired and unknown formats: the V1 layout (tag 0xb100f001, no
-  // scheme byte) and any scheme byte other than 1 (double hashing).
+  // scheme byte), the V2 layout (tag 0xb100f002, no key base after the
+  // seed) and any scheme byte other than 1 (double hashing).
   BloomRF filter(BloomRFConfig::Basic(1000, 12.0));
   const std::string data = filter.Serialize();
   const size_t scheme_at = SchemeByteOffset(filter.config());
@@ -85,6 +89,10 @@ TEST(SerializationTest, RejectsGarbage) {
   PutFixed32(&v1, 0xb100f001);
   v1 += data.substr(4, scheme_at - 4) + data.substr(scheme_at + 1);
   EXPECT_FALSE(BloomRF::Deserialize(v1).has_value());
+  std::string v2;
+  PutFixed32(&v2, 0xb100f002);
+  v2 += data.substr(4, scheme_at + 9 - 4) + data.substr(scheme_at + 17);
+  EXPECT_FALSE(BloomRF::Deserialize(v2).has_value());
   for (uint8_t scheme : {uint8_t{0}, uint8_t{2}, uint8_t{0xff}}) {
     std::string bad = data;
     bad[scheme_at] = static_cast<char>(scheme);
@@ -152,7 +160,7 @@ TEST(SerializationTest, HugeSegmentClaimRejectedWithoutAllocating) {
   // must be rejected by the size pre-check, not by an allocation
   // attempt.
   std::string evil;
-  PutFixed32(&evil, 0xb100f002);           // magic
+  PutFixed32(&evil, 0xb100f003);           // magic
   PutFixed32(&evil, 64);                   // domain_bits
   PutFixed32(&evil, 1);                    // one layer
   evil.push_back(7);                       // delta
@@ -164,30 +172,46 @@ TEST(SerializationTest, HugeSegmentClaimRejectedWithoutAllocating) {
   evil.push_back(0);                       // no permutation
   evil.push_back(1);                       // double-hash scheme
   PutFixed64(&evil, 0x5eed);               // seed
+  PutFixed64(&evil, 0);                    // key base
   EXPECT_FALSE(BloomRF::Deserialize(evil).has_value());
 }
 
 TEST(SerializationTest, CurrentFormatCarriesHashScheme) {
-  // Filters serialize with the V2 tag and scheme byte 1 (hash-once
-  // double hashing), and answer identically after the round trip.
-  BloomRFConfig cfg = BloomRFConfig::Basic(1000, 14.0);
+  // Filters serialize with the V3 tag, scheme byte 1 (hash-once double
+  // hashing) and, after the seed, the key base, and answer identically
+  // after the round trip.
+  constexpr uint32_t kBits = 48;
+  BloomRFConfig cfg = BloomRFConfig::Basic(1000, 14.0, kBits);
   cfg.replicas.assign(cfg.replicas.size(), 2);
+  cfg.key_base = uint64_t{0xb100f} << 44;
   BloomRF filter(cfg);
-  auto keys = RandomKeySet(1000, 50);
+  std::vector<uint64_t> keys;
+  for (uint64_t k : RandomKeySet(1000, 50, uint64_t{1} << kBits)) {
+    keys.push_back(cfg.key_base + k);
+  }
   for (uint64_t k : keys) filter.Insert(k);
 
   std::string data = filter.Serialize();
-  ASSERT_GE(data.size(), 4u);
-  EXPECT_EQ(DecodeFixed32(data.data()), 0xb100f002u);
-  EXPECT_EQ(data[SchemeByteOffset(cfg)], 1);
+  const size_t scheme_at = SchemeByteOffset(cfg);
+  ASSERT_GE(data.size(), scheme_at + 17);
+  EXPECT_EQ(DecodeFixed32(data.data()), 0xb100f003u);
+  EXPECT_EQ(data[scheme_at], 1);
+  EXPECT_EQ(DecodeFixed64(data.data() + scheme_at + 1), cfg.seed);
+  EXPECT_EQ(DecodeFixed64(data.data() + scheme_at + 9), cfg.key_base);
 
   auto restored = BloomRF::Deserialize(data);
   ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->config().DebugString(), filter.config().DebugString());
   for (uint64_t k : keys) EXPECT_TRUE(restored->MayContain(k)) << k;
   Rng rng(51);
   for (int i = 0; i < 5000; ++i) {
-    uint64_t y = rng.Next();
+    // Probes inside the domain and anywhere in the 64-bit space.
+    uint64_t y = i % 2 == 0 ? cfg.key_base + rng.Uniform(uint64_t{1} << kBits)
+                            : rng.Next();
     EXPECT_EQ(restored->MayContain(y), filter.MayContain(y)) << y;
+    uint64_t hi = RangeEnd(y, 1 << 16);
+    EXPECT_EQ(restored->MayContainRange(y, hi), filter.MayContainRange(y, hi))
+        << y;
   }
 }
 

@@ -157,8 +157,14 @@ TEST(FilterRegistryTest, OnlineBuildHasNoFalseNegatives) {
 
 TEST(FilterRegistryTest, BloomRFEntryBuildsTheAdvisedConfig) {
   // The entry hands the params, histogram included, to the tuning
-  // advisor: its block is the advised BloomRF's, whatever the widths.
-  auto keys = SortedKeys(3000, 308);
+  // advisor at the keys' own domain (based at the smallest key, as wide
+  // as their span): its block is the advised BloomRF's, whatever the
+  // widths and wherever the keys sit.
+  std::vector<std::vector<uint64_t>> key_sets = {SortedKeys(3000, 308)};
+  key_sets.emplace_back();  // 3000 keys in a 2^40-wide slice near the top
+  for (uint64_t k : RandomKeySet(3000, 309, uint64_t{1} << 40)) {
+    key_sets.back().push_back(UINT64_MAX - (uint64_t{1} << 41) + k);
+  }
   std::vector<std::vector<double>> histograms = {
       {},                                  // scalar max_range
       {0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5},  // bimodal 4 / 64
@@ -166,20 +172,30 @@ TEST(FilterRegistryTest, BloomRFEntryBuildsTheAdvisedConfig) {
   };
   histograms.emplace_back(21, 0.0);
   histograms.back()[20] = 1.0;  // all mass at 2^20
-  for (const std::vector<double>& weights : histograms) {
-    SCOPED_TRACE(weights.size());
-    FilterBuildParams params = TestParams();
-    params.range_weights = weights;
-    AdvisorParams advisor;
-    advisor.n = keys.size();
-    advisor.total_bits =
-        static_cast<uint64_t>(params.bits_per_key * keys.size());
-    advisor.max_range = params.max_range;
-    advisor.range_weights = weights;
-    BloomRF expected(AdviseConfig(advisor).config);
-    for (uint64_t k : keys) expected.Insert(k);
-    EXPECT_EQ(FilterRegistry::Instance().BuildFramed("bloomrf", keys, params),
-              FilterRegistry::Frame("bloomrf", expected.Serialize()));
+  for (const std::vector<uint64_t>& keys : key_sets) {
+    const KeyDomain domain = KeyDomainOf(keys);
+    EXPECT_EQ(domain.key_base, keys.front());
+    for (const std::vector<double>& weights : histograms) {
+      SCOPED_TRACE(::testing::Message() << "domain bits "
+                                        << domain.domain_bits << " weights "
+                                        << weights.size());
+      FilterBuildParams params = TestParams();
+      params.range_weights = weights;
+      AdvisorParams advisor;
+      advisor.n = keys.size();
+      advisor.total_bits =
+          static_cast<uint64_t>(params.bits_per_key * keys.size());
+      advisor.max_range = params.max_range;
+      advisor.domain_bits = domain.domain_bits;
+      advisor.range_weights = weights;
+      BloomRFConfig config = AdviseConfig(advisor).config;
+      config.key_base = domain.key_base;
+      BloomRF expected(config);
+      for (uint64_t k : keys) expected.Insert(k);
+      EXPECT_EQ(
+          FilterRegistry::Instance().BuildFramed("bloomrf", keys, params),
+          FilterRegistry::Frame("bloomrf", expected.Serialize()));
+    }
   }
 }
 

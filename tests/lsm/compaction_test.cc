@@ -140,6 +140,53 @@ TEST_F(CompactionTest, EveryRegistryBackendSurvivesMultiLevelReads) {
   }
 }
 
+TEST_F(CompactionTest, RebasedBloomRFFiltersFindEveryKeyInLeveledFiles) {
+  // Each compaction output carries a bloomRF rebased on its smallest key
+  // and sized for its own key span. Every key of every L1+ file must
+  // still be found by Get, MultiGet and a scan of a range around it.
+  std::map<uint64_t, std::string> expected;
+  Db db(CompactingOptions(NewBloomRFPolicy(16.0, 1 << 20)));
+  Dataset data = MakeDataset(6000, Distribution::kUniform, 503);
+  for (uint64_t k : data.keys) {
+    ASSERT_TRUE(db.Put(k, "v" + std::to_string(k)));
+    expected[k] = "v" + std::to_string(k);
+  }
+  ASSERT_TRUE(db.CompactAll());
+  const auto per_level = db.level_table_counts();
+  ASSERT_FALSE(per_level.empty());
+  EXPECT_EQ(per_level[0], 0u);
+  size_t deeper = 0;
+  for (size_t level = 1; level < per_level.size(); ++level) {
+    deeper += per_level[level];
+  }
+  EXPECT_GT(deeper, 4u) << "expected several key-disjoint L1+ files";
+
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> los, his;
+  std::string value;
+  for (const auto& [k, v] : expected) {
+    ASSERT_TRUE(db.Get(k, &value)) << k;
+    ASSERT_EQ(value, v);
+    keys.push_back(k);
+    los.push_back(k - std::min<uint64_t>(k, 1000));
+    his.push_back(k + std::min<uint64_t>(UINT64_MAX - k, 1000));
+  }
+  const auto got = db.MultiGet(keys);
+  ASSERT_EQ(got.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(got[i].has_value()) << keys[i];
+    EXPECT_EQ(*got[i], expected[keys[i]]);
+  }
+  const auto scans = db.ScanRange(los, his);
+  ASSERT_EQ(scans.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const bool found = std::any_of(
+        scans[i].begin(), scans[i].end(),
+        [&](const auto& row) { return row.first == keys[i]; });
+    EXPECT_TRUE(found) << "scan around " << keys[i];
+  }
+}
+
 TEST_F(CompactionTest, FailedCompactionLeavesStoreReadable) {
   FaultInjectionEnv fenv;
   DbOptions options = CompactingOptions(NewBloomPolicy(10.0));

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,34 @@ TEST_P(RecoveryTest, WalNameWhoseNumberOverflowsIsLeftAlone) {
   ASSERT_TRUE(db.Put(1, "v"));
   ASSERT_TRUE(db.Flush());
   EXPECT_TRUE(std::filesystem::exists(stray));
+}
+
+TEST_P(RecoveryTest, ZeroPaddedFileNumbersAreLeftAlone) {
+  // The engine writes file numbers with std::to_string, so wal-0001.log
+  // and 0007.sst are not its files. A parser that takes leading zeros
+  // replays the first as log 1 and deletes it with the first flush, and
+  // quarantines the second as SST 7.
+  std::filesystem::create_directories(dir_);
+  const std::string wal = dir_ + "/wal-0001.log";
+  const std::string sst = dir_ + "/0007.sst";
+  std::ofstream(wal) << "not a log record";
+  std::ofstream(sst) << "not a table";
+  {
+    Db db(Options());
+    EXPECT_EQ(db.recovery_stats().wal_files_replayed, 0u);
+    EXPECT_TRUE(db.recovery_stats().wal_clean);
+    EXPECT_EQ(db.recovery_stats().tables_quarantined, 0u);
+    ASSERT_TRUE(db.Put(1, "v"));
+    ASSERT_TRUE(db.Flush());
+  }
+  for (const auto& [path, bytes] :
+       {std::pair{wal, "not a log record"}, std::pair{sst, "not a table"}}) {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << path;
+    std::string contents((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+    EXPECT_EQ(contents, bytes) << path;
+  }
 }
 
 TEST_P(RecoveryTest, BatchIsAllOrNothingInRecovery) {

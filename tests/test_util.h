@@ -32,6 +32,18 @@ inline bool GroundTruthRange(const std::set<uint64_t>& keys, uint64_t lo,
   return it != keys.end() && *it <= hi;
 }
 
+/// n distinct uniform keys, ascending, in one 1/`slices`-wide slice of
+/// the 64-bit domain (the middle one), as the keys of one leveled SST
+/// sit.
+inline std::vector<uint64_t> SliceKeys(size_t n, uint64_t slices,
+                                       uint64_t seed) {
+  const uint64_t width = UINT64_MAX / slices;
+  const uint64_t base = slices / 2 * width;
+  std::vector<uint64_t> keys;
+  for (uint64_t k : RandomKeySet(n, seed, width)) keys.push_back(base + k);
+  return keys;
+}
+
 /// Saturating interval of `size` elements starting at lo.
 inline uint64_t RangeEnd(uint64_t lo, uint64_t size) {
   if (size == 0) size = 1;

@@ -49,14 +49,16 @@ TEST(CodingTest, ParseDecimalTakesDigitsThatFit) {
   uint64_t value = 7;
   EXPECT_TRUE(ParseDecimal("0", &value));
   EXPECT_EQ(value, 0u);
-  EXPECT_TRUE(ParseDecimal("000123", &value));
+  EXPECT_TRUE(ParseDecimal("123", &value));
   EXPECT_EQ(value, 123u);
   EXPECT_TRUE(ParseDecimal("18446744073709551615", &value));
   EXPECT_EQ(value, UINT64_MAX);
   value = 7;
+  // std::to_string never writes a leading zero, so "000123" is no
+  // number the engine wrote.
   for (const char* bad : {"", "18446744073709551616", "18446744073709551617",
                           "123456789012345678901", "-1", "+1", " 1", "1 ",
-                          "12x", "0x10"}) {
+                          "12x", "0x10", "000123", "00", "01"}) {
     EXPECT_FALSE(ParseDecimal(bad, &value)) << bad;
     EXPECT_EQ(value, 7u) << bad;
   }
