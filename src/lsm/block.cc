@@ -22,20 +22,28 @@ std::string BlockBuilder::Finish() {
   return out;
 }
 
-bool ParseBlock(std::string_view data, std::vector<BlockEntry>* entries) {
-  entries->clear();
-  size_t pos = 0;
-  while (pos < data.size()) {
-    if (pos + 12 > data.size()) return false;
-    uint64_t key = DecodeFixed64(data.data() + pos);
-    uint32_t meta = DecodeFixed32(data.data() + pos + 8);
-    const bool tombstone = (meta & BlockBuilder::kTombstoneBit) != 0;
-    const uint32_t len = meta & ~BlockBuilder::kTombstoneBit;
-    pos += 12;
-    if (pos + len > data.size()) return false;
-    if (tombstone && len != 0) return false;  // tombstones carry no value
-    entries->push_back({key, data.substr(pos, len), tombstone});
+bool ParseBlock(std::string_view data, std::vector<uint32_t>* offsets) {
+  constexpr size_t kHeader = BlockBuilder::kEntryHeaderBytes;
+  constexpr uint32_t kTombstone = BlockBuilder::kTombstoneBit;
+  offsets->clear();
+  if (data.size() > UINT32_MAX) return false;
+  // Validate and count, then record where each entry starts, so the
+  // offsets are allocated once, at their final size.
+  size_t count = 0;
+  for (size_t pos = 0; pos < data.size(); ++count) {
+    if (data.size() - pos < kHeader) return false;
+    const uint32_t meta = DecodeFixed32(data.data() + pos + 8);
+    const uint32_t len = meta & ~kTombstone;
+    pos += kHeader;
+    if (len > data.size() - pos) return false;
+    // Tombstones carry no value.
+    if ((meta & kTombstone) != 0 && len != 0) return false;
     pos += len;
+  }
+  offsets->reserve(count);
+  for (size_t pos = 0; pos < data.size();) {
+    offsets->push_back(static_cast<uint32_t>(pos));
+    pos += kHeader + (DecodeFixed32(data.data() + pos + 8) & ~kTombstone);
   }
   return true;
 }

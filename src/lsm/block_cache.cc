@@ -34,6 +34,20 @@ void BlockCache::Insert(uint64_t table_id, uint64_t block_idx,
   EvictOverBudgetLocked();
 }
 
+void BlockCache::EraseTable(uint64_t table_id, uint64_t num_blocks) {
+  // The erased items move to `erased`, which is declared before the
+  // lock and so frees their blocks after the lock is released.
+  std::list<Item> erased;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (uint64_t idx = 0; idx < num_blocks && !index_.empty(); ++idx) {
+    auto it = index_.find(Key{table_id, idx});
+    if (it == index_.end()) continue;
+    charge_bytes_ -= it->second->block->ChargeBytes();
+    erased.splice(erased.end(), lru_, it->second);
+    index_.erase(it);
+  }
+}
+
 void BlockCache::EvictOverBudgetLocked() {
   // Never evict the block just touched: a cache too small for a single
   // block would otherwise thrash to empty and callers would re-read

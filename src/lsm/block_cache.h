@@ -1,16 +1,21 @@
-// Shared LRU cache of parsed SST data blocks.
+// Shared LRU cache of SST data blocks.
 //
-// The mini-LSM read path (Get/MultiGet/RangeScan) historically read
-// and parsed a data block from disk on every access. The cache keeps
-// recently used blocks — raw bytes plus their parsed entry vector —
-// keyed by (table id, block index), so repeated reads of a hot block
-// cost a hash lookup instead of an fread + parse. One cache instance
-// is shared by all tables of a Db (DbOptions::block_cache can share it
-// across Db instances too, mirroring RocksDB's shared block cache).
+// The mini-LSM read path (Get/MultiGet/ScanRange) would otherwise read
+// and parse a data block from disk on every access. The cache keeps
+// recently used blocks keyed by (table id, block index), so repeated
+// reads of a hot block cost a hash lookup instead of a pread, checksum
+// and parse. A cached block is its raw bytes plus one 32-bit offset
+// per entry, searched in place as LevelDB's Block is; a 4 KiB block of
+// 50 entries is charged 4 KiB + 200 bytes + 56 bytes. One cache
+// instance is shared by all tables of a Db (DbOptions::block_cache can
+// share it across Db instances too, mirroring RocksDB's shared block
+// cache). A table's blocks leave the cache with the table:
+// ~TableReader erases them (EraseTable), so a compacted-away table or
+// a closed Db's tables hold no cache memory.
 //
 // Thread-safe: all operations take one internal mutex; cached blocks
 // are immutable and handed out as shared_ptr, so readers keep a block
-// alive even after eviction.
+// alive even after eviction or erasure.
 
 #ifndef BLOOMRF_LSM_BLOCK_CACHE_H_
 #define BLOOMRF_LSM_BLOCK_CACHE_H_
@@ -19,26 +24,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "lsm/block.h"
+#include "lsm/block.h"  // CachedBlock
 
 namespace bloomrf {
-
-/// One cached data block: the raw bytes and the entries parsed from
-/// them (entry string_views point into `raw`, which shared_ptr
-/// ownership keeps stable).
-struct CachedBlock {
-  std::string raw;
-  std::vector<BlockEntry> entries;
-
-  size_t ChargeBytes() const {
-    return raw.size() + entries.capacity() * sizeof(BlockEntry) +
-           sizeof(CachedBlock);
-  }
-};
 
 class BlockCache {
  public:
@@ -54,6 +44,11 @@ class BlockCache {
   /// Inserts (or replaces) a block and evicts LRU entries over budget.
   void Insert(uint64_t table_id, uint64_t block_idx,
               std::shared_ptr<const CachedBlock> block);
+
+  /// Drops blocks 0 .. num_blocks-1 of `table_id` (a table being
+  /// destroyed). Not an eviction: hit, miss and eviction counts stay.
+  /// Callers still holding a block keep it.
+  void EraseTable(uint64_t table_id, uint64_t num_blocks);
 
   size_t charge_bytes() const;
   uint64_t hits() const;

@@ -45,6 +45,9 @@ bool TableReader::ReadFileAt(uint64_t offset, uint64_t size,
 }
 
 TableReader::~TableReader() {
+  // No Version holds this table any more, so no reader can cache its
+  // blocks again.
+  if (cache_ != nullptr) cache_->EraseTable(table_id_, index_.size());
   if (file_ != nullptr) std::fclose(file_);
 }
 
@@ -169,7 +172,7 @@ std::shared_ptr<const CachedBlock> TableReader::ReadBlock(
     size_t index_pos, LsmStats* stats) const {
   auto block = std::make_shared<CachedBlock>();
   if (!ReadBlockAt(index_pos, &block->raw, stats) ||
-      !ParseBlock(block->raw, &block->entries)) {
+      !ParseBlock(block->raw, &block->offsets)) {
     return nullptr;
   }
   return block;
@@ -234,15 +237,13 @@ Lookup TableReader::Find(uint64_t key, std::string* value, ProbeTally* tally,
   }
   auto block = GetBlock(static_cast<size_t>(block_idx), stats);
   if (block == nullptr) return Lookup::kMiss;
-  auto it = std::lower_bound(
-      block->entries.begin(), block->entries.end(), key,
-      [](const BlockEntry& e, uint64_t k) { return e.key < k; });
-  if (it == block->entries.end() || it->key != key) {
+  const size_t i = block->LowerBound(key);
+  if (i == block->size() || block->key(i) != key) {
     false_positive();
     return Lookup::kMiss;
   }
-  if (it->tombstone) return Lookup::kTombstone;
-  if (value != nullptr) value->assign(it->value);
+  if (block->tombstone(i)) return Lookup::kTombstone;
+  if (value != nullptr) value->assign(block->value(i));
   return Lookup::kHit;
 }
 
@@ -303,10 +304,7 @@ TableReader::Iterator::Iterator(const TableReader& table, ReadMode mode,
   LoadBlock(static_cast<size_t>(block));
   // FindBlock guarantees this block's last key >= start_key, so the
   // target position is inside it (when the block loaded at all).
-  while (block_ != nullptr && pos_ < block_->entries.size() &&
-         block_->entries[pos_].key < start_key) {
-    ++pos_;
-  }
+  if (block_ != nullptr) pos_ = block_->LowerBound(start_key);
 }
 
 void TableReader::Iterator::LoadBlock(size_t block_idx) {
@@ -321,7 +319,7 @@ void TableReader::Iterator::LoadBlock(size_t block_idx) {
 
 void TableReader::Iterator::Next() {
   if (!Valid()) return;
-  if (++pos_ >= block_->entries.size()) LoadBlock(block_idx_ + 1);
+  if (++pos_ >= block_->size()) LoadBlock(block_idx_ + 1);
 }
 
 void TableReader::ScanBlocks(uint64_t lo, uint64_t hi, size_t limit,

@@ -9,10 +9,15 @@
 // once per batch. No read path takes a timestamp: Fig. 12.G's
 // probe/deserialization split is timed by bench_fig12g_breakdown.
 //
-// Reads go through an optional shared BlockCache: a data block is read
-// and parsed at most once while it stays resident. Every point probe
-// goes through Find, and with it one false-positive rule; MultiGet is
-// a loop of Find, kept for perfbench's replay.
+// Reads go through an optional shared BlockCache: a data block is read,
+// checksummed and parsed at most once while it stays resident. Parsing
+// validates the block and records one offset per entry; Find
+// binary-searches the block's bytes through the offsets and Iterator
+// steps on them, so no entry is copied. The destructor erases the
+// table's blocks from the cache: once no Version holds a table, its
+// blocks hold no cache memory. Every point probe goes through Find,
+// and with it one false-positive rule; MultiGet is a loop of Find, kept
+// for perfbench's replay.
 //
 // All read methods are const and safe to call from many threads at
 // once: file access uses positioned reads (pread) so no seek state is
@@ -331,12 +336,10 @@ class TableReader {
     /// from there on.
     Iterator(const TableReader& table, ReadMode mode, LsmStats* stats,
              uint64_t start_key);
-    bool Valid() const {
-      return block_ != nullptr && pos_ < block_->entries.size();
-    }
-    uint64_t key() const { return block_->entries[pos_].key; }
-    std::string_view value() const { return block_->entries[pos_].value; }
-    bool tombstone() const { return block_->entries[pos_].tombstone; }
+    bool Valid() const { return block_ != nullptr && pos_ < block_->size(); }
+    uint64_t key() const { return block_->key(pos_); }
+    std::string_view value() const { return block_->value(pos_); }
+    bool tombstone() const { return block_->tombstone(pos_); }
     void Next();
     bool ok() const { return ok_; }
 
@@ -366,8 +369,8 @@ class TableReader {
   bool ReadFileAt(uint64_t offset, uint64_t size, std::string* out) const;
   bool ReadBlockAt(size_t index_pos, std::string* buffer,
                    LsmStats* stats) const;
-  /// Reads and parses the block at `index_pos`, bypassing the cache.
-  /// Null on I/O error or corruption.
+  /// Reads and parses (ParseBlock) the block at `index_pos`, bypassing
+  /// the cache. Null on I/O error or corruption.
   std::shared_ptr<const CachedBlock> ReadBlock(size_t index_pos,
                                                LsmStats* stats) const;
   /// Cache-aware fetch: returns the parsed block at `index_pos` from

@@ -232,6 +232,44 @@ TEST_F(CompactionTest, FailedCompactionLeavesStoreReadable) {
   ExpectExactly(db, expected);
 }
 
+TEST_F(CompactionTest, RetiredTablesLeaveTheBlockCache) {
+  // Gets fill a shared cache with the blocks of six L0 tables. CompactAll
+  // reads its inputs around the cache, so once the merge retires them
+  // nothing of theirs may stay cached; closing the Db leaves nothing of
+  // the output either.
+  auto cache = std::make_shared<BlockCache>(64 << 20);
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewBloomPolicy(10.0);
+  options.block_cache = cache;
+  constexpr size_t kKeys = 20000;
+  constexpr size_t kTables = 6;
+  const Dataset data = MakeDataset(kKeys, Distribution::kUniform, 31);
+  std::map<uint64_t, std::string> expected;
+  {
+    Db db(options);
+    for (size_t t = 0; t < kTables; ++t) {
+      for (size_t i = t; i < kKeys; i += kTables) {
+        const std::string value = MakeValue(data.keys[i], 16);
+        ASSERT_TRUE(db.Put(data.keys[i], value));
+        expected[data.keys[i]] = value;
+      }
+      ASSERT_TRUE(db.Flush());
+    }
+    ASSERT_EQ(db.level_table_counts()[0], kTables);
+    std::string value;
+    for (const auto& [key, v] : expected) ASSERT_TRUE(db.Get(key, &value));
+    ASSERT_GT(cache->charge_bytes(), 0u);
+
+    ASSERT_TRUE(db.CompactAll());
+    ASSERT_EQ(db.num_tables(), 1u);
+    EXPECT_EQ(cache->charge_bytes(), 0u);
+    ExpectExactly(db, expected);
+    EXPECT_GT(cache->charge_bytes(), 0u);  // the output's blocks
+  }
+  EXPECT_EQ(cache->charge_bytes(), 0u);
+}
+
 TEST_F(CompactionTest, UnreadableInputBlockFailsTheJob) {
   // A data block that fails its CRC mid-merge fails the job: outputs
   // are deleted and the inputs stay published.
